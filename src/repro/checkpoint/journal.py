@@ -35,7 +35,7 @@ import pickle
 
 from repro.core.persistence import atomic_write_bytes, atomic_write_text
 from repro.faults.injector import InjectedFault
-from repro.parallel import parallel_map
+from repro.parallel import PartialResult, parallel_map
 from repro.telemetry import absorb_value
 from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
@@ -247,7 +247,8 @@ class ShardJournal:
         return [key for key in shard_keys if self.load(key)[0]]
 
 
-def checkpointed_map(fn, items, keys, journal=None, **kwargs):
+def checkpointed_map(fn, items, keys, journal=None, reclaim=False,
+                     **kwargs):
     """:func:`~repro.parallel.parallel_map` with a shard journal.
 
     *keys* names each item's journal entry (same length as *items*).
@@ -257,6 +258,11 @@ def checkpointed_map(fn, items, keys, journal=None, **kwargs):
     interrupted call resumes from its last completed shard.  Results
     come back in submission order either way, so output is
     byte-identical with, without, or across interrupted journals.
+
+    With *reclaim* the pool runs one attempt and the call returns a
+    :class:`~repro.parallel.PartialResult` indexed like *items*:
+    restored and completed shards in ``values``, the rest ``stalled``
+    or ``crashed`` for the caller (the elastic scheduler) to repack.
 
     With ``journal=None`` this is exactly ``parallel_map(fn, items,
     **kwargs)`` — except that the journal keys still name the shards'
@@ -273,11 +279,11 @@ def checkpointed_map(fn, items, keys, journal=None, **kwargs):
     if len(set(keys)) != len(keys):
         raise ValueError("shard keys must be unique within one map")
     if journal is None:
-        return parallel_map(fn, items, shard_tracks=keys, **kwargs)
-    results = {}
-    pending_items = []
-    pending_keys = []
-    for item, key in zip(items, keys):
+        return parallel_map(fn, items, shard_tracks=keys, reclaim=reclaim,
+                            **kwargs)
+    restored = {}
+    pending = []
+    for index, key in enumerate(keys):
         hit, value = journal.load(key)
         if hit:
             # Restored carriers replay the shard's telemetry exactly
@@ -285,24 +291,34 @@ def checkpointed_map(fn, items, keys, journal=None, **kwargs):
             # makes the restored-before-fresh absorption order moot).
             _telemetry_current().advisory_event("checkpoint.restore",
                                                 shard=key)
-            results[key] = absorb_value(value, key)
+            restored[index] = absorb_value(value, key)
         else:
-            pending_items.append(item)
-            pending_keys.append(key)
+            pending.append(index)
     report = kwargs.get("report")
-    if report is not None and results:
-        report.checkpoint_hits += len(results)
+    if report is not None and restored:
+        report.checkpoint_hits += len(restored)
         report.record(
             "checkpoint",
-            f"restored {len(results)}/{len(items)} shard(s) from "
+            f"restored {len(restored)}/{len(items)} shard(s) from "
             f"{journal.directory}",
         )
 
-    def journal_result(index, value):
-        journal.record(pending_keys[index], value)
+    def journal_result(position, value):
+        journal.record(keys[pending[position]], value)
 
-    fresh = parallel_map(fn, pending_items, on_result=journal_result,
-                         shard_tracks=pending_keys, **kwargs)
-    for key, value in zip(pending_keys, fresh):
-        results[key] = value
-    return [results[key] for key in keys]
+    fresh = parallel_map(fn, [items[i] for i in pending],
+                         on_result=journal_result,
+                         shard_tracks=[keys[i] for i in pending],
+                         reclaim=reclaim, **kwargs)
+    if not reclaim:
+        restored.update(zip(pending, fresh))
+        return [restored[index] for index in range(len(items))]
+    restored.update(
+        (pending[position], value)
+        for position, value in fresh.values.items()
+    )
+    return PartialResult(
+        values=restored,
+        stalled=tuple(pending[position] for position in fresh.stalled),
+        crashed=tuple(pending[position] for position in fresh.crashed),
+    )

@@ -98,21 +98,6 @@ def cmd_scan(args):
               f"({op.caller_file}:{op.caller_line})")
 
 
-def _checkpoint_args(args):
-    """Validate and unpack the --checkpoint/--resume pair."""
-    if args.resume and args.checkpoint is None:
-        raise SystemExit("--resume requires --checkpoint DIR")
-    return args.checkpoint, args.resume
-
-
-def _print_result(result, args):
-    """Render a sweep result, plus its execution report when verbose."""
-    print(result.render())
-    if getattr(args, "verbose", False) and result.execution is not None:
-        print()
-        print(result.execution.describe())
-
-
 def _run_observed(args, thunk):
     """Run *thunk*, under a telemetry session when the flags ask for one.
 
@@ -148,29 +133,39 @@ def _emit_observability(args, session, report=None):
         print(telemetry.render_trace_summary(session))
 
 
-def _dump_report_json(args, report):
-    """Write the ``--report-json`` execution-report dump, if asked."""
-    path = getattr(args, "report_json", None)
-    if not path or report is None:
-        return
-    pathlib.Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+def _run_sweep(args, sweep, **params):
+    """Run one checkpointable sweep command end to end.
+
+    Validates ``--checkpoint``/``--resume``, runs *sweep* (under a
+    telemetry session when asked) with the shared device, seed,
+    worker and checkpoint flags plus *params*, prints the rendered
+    result (and the execution report with ``--verbose``), then writes
+    the ``--telemetry`` exports and the ``--report-json`` dump.
+    """
+    if args.resume and args.checkpoint is None:
+        raise SystemExit("--resume requires --checkpoint DIR")
+    result, session = _run_observed(args, lambda: sweep(
+        _device(args.device), seed=args.seed, workers=args.workers,
+        checkpoint=args.checkpoint, resume=args.resume, **params,
+    ))
+    report = result.execution
+    print(result.render())
+    if args.verbose:
+        print()
+        print(report.describe())
+    _emit_observability(args, session, report)
+    if args.report_json:
+        pathlib.Path(args.report_json).write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        )
 
 
 def cmd_fleet(args):
     """Regenerate the Table 5 fleet study."""
     from repro.harness.exp_fleet import table5
 
-    checkpoint, resume = _checkpoint_args(args)
-    result, session = _run_observed(args, lambda: table5(
-        _device(args.device), seed=args.seed, users=args.users,
-        actions_per_user=args.actions, corpus_size=args.fleet_size,
-        workers=args.workers, checkpoint=checkpoint, resume=resume,
-    ))
-    _print_result(result, args)
-    _emit_observability(args, session, result.execution)
-    _dump_report_json(args, result.execution)
+    _run_sweep(args, table5, users=args.users,
+               actions_per_user=args.actions, corpus_size=args.fleet_size)
 
 
 def cmd_scenarios(args):
@@ -181,15 +176,8 @@ def cmd_scenarios(args):
         size, users, actions = 200, 1, 8
     else:
         size, users, actions = args.fleet_size, args.users, args.actions
-    checkpoint, resume = _checkpoint_args(args)
-    result, session = _run_observed(args, lambda: scenario_sweep(
-        _device(args.device), seed=args.seed, size=size, mix=args.mix,
-        users=users, actions_per_user=actions, workers=args.workers,
-        checkpoint=checkpoint, resume=resume,
-    ))
-    _print_result(result, args)
-    _emit_observability(args, session, result.execution)
-    _dump_report_json(args, result.execution)
+    _run_sweep(args, scenario_sweep, size=size, mix=args.mix, users=users,
+               actions_per_user=actions)
 
 
 def cmd_compare(args):
@@ -214,15 +202,8 @@ def cmd_chaos(args):
         rates = tuple(float(r) for r in args.rates.split(","))
         apps = tuple(args.apps.split(",")) if args.apps else None
         users, actions = args.users, args.actions
-    checkpoint, resume = _checkpoint_args(args)
-    result, session = _run_observed(args, lambda: chaos_sweep(
-        _device(args.device), seed=args.seed, rates=rates, apps=apps,
-        users=users, actions_per_user=actions, workers=args.workers,
-        checkpoint=checkpoint, resume=resume,
-    ))
-    _print_result(result, args)
-    _emit_observability(args, session, result.execution)
-    _dump_report_json(args, result.execution)
+    _run_sweep(args, chaos_sweep, rates=rates, apps=apps, users=users,
+               actions_per_user=actions)
 
 
 def cmd_crowd(args):
@@ -237,16 +218,9 @@ def cmd_crowd(args):
         fleet_sizes = tuple(int(n) for n in args.fleet_sizes.split(","))
         apps = tuple(args.apps.split(",")) if args.apps else None
         rounds, actions = args.rounds, args.actions
-    checkpoint, resume = _checkpoint_args(args)
-    result, session = _run_observed(args, lambda: crowd_sweep(
-        _device(args.device), seed=args.seed, fleet_sizes=fleet_sizes,
-        rounds=rounds, apps=apps, actions_per_round=actions,
-        fault_rate=args.fault_rate, workers=args.workers,
-        checkpoint=checkpoint, resume=resume,
-    ))
-    _print_result(result, args)
-    _emit_observability(args, session, result.execution)
-    _dump_report_json(args, result.execution)
+    _run_sweep(args, crowd_sweep, fleet_sizes=fleet_sizes, rounds=rounds,
+               apps=apps, actions_per_round=actions,
+               fault_rate=args.fault_rate)
 
 
 def cmd_stream(args):
@@ -260,19 +234,13 @@ def cmd_stream(args):
         fleet_size, rounds, actions = (args.fleet_size, args.rounds,
                                        args.actions)
         apps = tuple(args.apps.split(",")) if args.apps else None
-    checkpoint, resume = _checkpoint_args(args)
-    result, session = _run_observed(args, lambda: stream_sweep(
-        _device(args.device), seed=args.seed, rounds=rounds,
-        fleet_size=fleet_size, churn_rate=args.churn_rate,
-        publish_every=args.publish_every, apps=apps,
-        actions_per_round=actions, fault_rate=args.fault_rate,
-        worker_kill_rate=args.worker_kill_rate,
-        shard_stall_rate=args.shard_stall_rate, workers=args.workers,
-        checkpoint=checkpoint, resume=resume, deadline=args.deadline,
-    ))
-    _print_result(result, args)
-    _emit_observability(args, session, result.execution)
-    _dump_report_json(args, result.execution)
+    _run_sweep(args, stream_sweep, rounds=rounds, fleet_size=fleet_size,
+               churn_rate=args.churn_rate,
+               publish_every=args.publish_every, apps=apps,
+               actions_per_round=actions, fault_rate=args.fault_rate,
+               worker_kill_rate=args.worker_kill_rate,
+               shard_stall_rate=args.shard_stall_rate,
+               deadline=args.deadline)
 
 
 def cmd_serve(args):

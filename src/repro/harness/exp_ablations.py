@@ -36,7 +36,7 @@ from repro.harness.training import (
     collect_training_samples,
     training_bug_cases,
     training_ui_cases,
-    validation_bug_cases,
+    validation_firings,
 )
 from repro.sim.engine import ExecutionEngine
 from repro.sim.pmu import PmuSampler
@@ -81,33 +81,12 @@ def ablate_event_count(device, seed=0, runs=20, recognize_rate=0.5):
     """
     config = HangDoctorConfig()
     events = config.filter_events()
-    sampler = PmuSampler(device, events, seed=seed)
-    engine = ExecutionEngine(device, seed=seed)
-
-    per_case_rates = []
-    for case in validation_bug_cases():
-        action = case.app.action(case.action_name)
-        hangs = 0
-        fired = {event: 0 for event in events}
-        for _ in range(runs):
-            execution = engine.run_action(case.app, action)
-            if not execution.has_soft_hang:
-                continue
-            if case.site_id not in execution.hang_bug_sites():
-                continue
-            hangs += 1
-            for event in events:
-                value = sampler.read_difference(
-                    execution.timeline, event, MAIN_THREAD, RENDER_THREAD,
-                    execution.start_ms, execution.end_ms,
-                )
-                if value > config.filter_thresholds[event]:
-                    fired[event] += 1
-        rates = {
-            event: (fired[event] / hangs if hangs else 0.0)
-            for event in events
-        }
-        per_case_rates.append(rates)
+    per_case_rates = [
+        {event: (fired[event] / hangs if hangs else 0.0)
+         for event in events}
+        for _case, hangs, fired in validation_firings(device, seed, config,
+                                                      runs)
+    ]
 
     results = {}
     for k in range(1, len(events) + 1):

@@ -15,7 +15,7 @@ rate) attached, then reports the precision/recall/overhead degradation
 curve against the fault-free (rate 0) row.  Because every app's run is
 a pure function of (device, root seed, rate, app), the sweep shards
 per (rate, app) across worker processes through
-:mod:`repro.parallel`, and any ``--workers`` count yields
+:mod:`repro.sched`, and any ``--workers`` count yields
 byte-identical output.
 
 At rate 0 the fault layer draws no random numbers and injects nothing,
@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 from repro.analysis.metrics import ConfusionCounts, detected_bug_sites
 from repro.apps.catalog import get_app
 from repro.apps.sessions import SessionGenerator
-from repro.checkpoint import ShardJournal, checkpointed_map, run_key
 from repro.core.hang_doctor import HangDoctor
 from repro.core.persistence import load_report, report_to_json
 from repro.detectors.runner import DetectorRun, run_detector
@@ -42,6 +41,7 @@ from repro.harness.exp_comparison import FIGURE8_APPS
 from repro.harness.exp_fleet import fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
@@ -248,27 +248,17 @@ def chaos_sweep(device, seed=0, rates=DEFAULT_RATES, apps=None, users=2,
     rates = tuple(rates)
     if not rates:
         raise ValueError("need at least one fault rate")
-    if report is None:
-        report = ExecutionReport()
+    scheduler = ElasticScheduler.for_sweep(
+        "chaos", device.name, seed, rates, apps, users, actions_per_user,
+        workers=workers, checkpoint=checkpoint, resume=resume,
+        report=report, faults=executor_faults,
+    )
     shards = [
         (device, seed, rate, app_name, users, actions_per_user)
         for rate in rates
         for app_name in apps
     ]
     keys = [f"{rate!r}|{app_name}" for rate in rates for app_name in apps]
-    journal = None
-    if checkpoint is not None:
-        journal = ShardJournal(
-            checkpoint,
-            run_key("chaos", device.name, seed, rates, apps, users,
-                    actions_per_user),
-            faults=executor_faults,
-            report=report,
-        ).open(resume=resume)
-    elif resume:
-        raise ValueError("resume requires a checkpoint directory")
-    cells = checkpointed_map(_chaos_cell, shards, keys, journal,
-                             workers=workers, report=report,
-                             faults=executor_faults)
-    return ChaosResult(cells=list(cells), rates=rates, apps=apps,
-                       execution=report)
+    cells = scheduler.map(_chaos_cell, shards, keys)
+    return ChaosResult(cells=cells, rates=rates, apps=apps,
+                       execution=scheduler.report)

@@ -29,7 +29,7 @@ from repro.detectors.utilization import (
 )
 from repro.harness.tables import render_table
 from repro.harness.training import training_bug_cases, validation_bug_cases
-from repro.parallel import parallel_map
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
@@ -218,5 +218,7 @@ def figure8(device, seed=0, users=2, actions_per_user=60, app_names=None,
          overhead_model)
         for app_name in app_names
     ]
-    results = parallel_map(_figure8_shard, shards, workers=workers)
-    return Figure8Result(apps=list(results))
+    results = ElasticScheduler.for_sweep(workers=workers).map(
+        _figure8_shard, shards, [f"figure8|{name}" for name in app_names],
+    )
+    return Figure8Result(apps=results)

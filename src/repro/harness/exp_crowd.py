@@ -15,9 +15,11 @@ paper's deployment model).
 Decomposition and determinism: a device's round is a pure function of
 (device profile, root seed, device index, round index, published
 knowledge), seeded through keyed substreams so it is independent of
-fleet size and shard assignment.  Rounds are sequential (the feedback
-loop), devices within a round shard across workers through
-:mod:`repro.parallel`, and ingestion folds through the
+fleet size and shard assignment.  Each fleet size runs the stream's
+sync-round loop (:func:`~repro.harness.exp_stream.run_rounds`) with
+churn off and a publish every round: rounds are sequential (the
+feedback loop), devices within a round dispatch through the elastic
+scheduler (:mod:`repro.sched`), and ingestion folds through the
 order-independent :meth:`~repro.crowd.CrowdAggregator.merge`, so any
 ``--workers`` count renders byte-identically.  The upload path runs
 through the fault seams of :mod:`repro.faults` — batches may be
@@ -35,120 +37,19 @@ spares every other device the collection.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.analysis.metrics import detected_bug_sites
-from repro.apps.catalog import get_app
-from repro.apps.sessions import SessionGenerator
-from repro.base.rng import substream_seed
-from repro.checkpoint import ShardJournal, checkpointed_map, run_key
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.hang_doctor import HangDoctor
-from repro.crowd import CrowdAggregator, CrowdKnowledge, ReportBatch
-from repro.detectors.runner import run_detector
-from repro.faults import FaultInjector, FaultPlan
+from repro.crowd import CrowdKnowledge
+from repro.harness.exp_stream import (
+    CROWD_APPS,
+    _crowd_device_round,
+    run_rounds,
+)
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
-from repro.sim.engine import ExecutionEngine
-from repro.telemetry import current as telemetry
+from repro.sched import ElasticScheduler
 
 #: Default fleet sizes of the sweep (devices per fleet).
 DEFAULT_FLEET_SIZES = (1, 2, 4, 8)
-
-#: Default app set: a representative slice of the Figure 8 apps.
-CROWD_APPS = ("AndStatus", "K9-mail")
-
-
-def crowd_device_seed(seed, device_index, round_index):
-    """Per-(device, round) seed, derived from the root seed.
-
-    Keyed-hash derivation (like
-    :func:`~repro.harness.exp_fleet.fleet_app_seed`) makes a device's
-    round independent of fleet size, worker count, and every other
-    device's rounds — which is what lets fleets of different sizes
-    share the same per-device behaviour and makes the superset
-    argument (bigger fleet, more knowledge, fewer collections) hold.
-    """
-    return substream_seed(seed, "crowd", device_index, round_index)
-
-
-@dataclass(frozen=True)
-class CrowdDeviceRound:
-    """One device's results for one sync round (all apps)."""
-
-    device_index: int
-    round_index: int
-    #: Phase-2 trace collections the device paid for this round.
-    phase2_collections: int
-    #: Collections avoided via the crowd known-bug table.
-    kb_short_circuits: int
-    #: Ground-truth bug sites detected, as (app_name, site_id) pairs.
-    detected_sites: Tuple[Tuple[str, str], ...]
-    #: Report batches to upload (one per app with a non-empty report).
-    batches: Tuple[ReportBatch, ...]
-
-
-def _crowd_device_round(payload):
-    """Run one device for one sync round (module-level so the process
-    pool can pickle it); returns a :class:`CrowdDeviceRound`.
-
-    The device runs every app of the study with the crowd-synced
-    knowledge and blocking-database snapshot published at the start of
-    the round, then digests its per-app Hang Bug Reports into upload
-    batches stamped with the round index.
-
-    The payload's trailing *track* element names the telemetry track
-    the round's records land on (e.g. ``crowd/fleet4/d1/r0``) — it has
-    to travel in the payload because the baseline and the fleet's
-    round 0 are otherwise byte-identical payloads, and shard-derived
-    names would move with the worker count.
-    """
-    (device, seed, app_names, device_index, round_index, actions,
-     knowledge, db_names, track) = payload
-    tel = telemetry()
-    with tel.track(track):
-        tel.count("crowd.device_rounds")
-        round_seed = crowd_device_seed(seed, device_index, round_index)
-        generator = SessionGenerator(seed=round_seed)
-        phase2 = 0
-        shorts = 0
-        sites = []
-        batches = []
-        for app_name in app_names:
-            app = get_app(app_name)
-            app_seed = substream_seed(round_seed, app_name)
-            engine = ExecutionEngine(device, seed=app_seed)
-            doctor = HangDoctor(
-                app, device, seed=app_seed,
-                blocking_db=BlockingApiDatabase(db_names),
-                crowd_kb=knowledge,
-            )
-            session = generator.user_session(
-                app, user_id=device_index, actions_per_user=actions
-            )
-            executions = engine.run_session(app, session.action_names,
-                                            gap_ms=1000.0)
-            run = run_detector(doctor, executions, device_id=device_index)
-            phase2 += doctor.phase2_collections
-            shorts += doctor.kb_short_circuits
-            sites.extend(
-                (app_name, site)
-                for site in sorted(detected_bug_sites(app, run.detections))
-            )
-            if len(doctor.report):
-                batches.append(ReportBatch.from_report(
-                    doctor.report, device_id=device_index,
-                    time_ms=float(round_index),
-                    batch_id=(
-                        f"{app_name}/dev{device_index}/round{round_index}"
-                    ),
-                ))
-    return CrowdDeviceRound(
-        device_index=device_index,
-        round_index=round_index,
-        phase2_collections=phase2,
-        kb_short_circuits=shorts,
-        detected_sites=tuple(sites),
-        batches=tuple(batches),
-    )
 
 
 @dataclass(frozen=True)
@@ -275,149 +176,6 @@ class CrowdSweepResult:
         )
 
 
-def _ingest_round(aggregator, arrivals, new_results, faults, stats):
-    """Upload phase of one round: deliver late batches from the
-    previous round, then this round's uploads through the fault seams.
-
-    Returns the merged aggregator and the batches delayed into the
-    next round.  Ingestion order is the deterministic submission order
-    (late arrivals first, then device order), and fault decisions are
-    drawn serially here in the parent, so worker count never reaches
-    the fault streams.
-    """
-    tel = telemetry()
-    round_agg = CrowdAggregator()
-    for batch in arrivals:
-        if not round_agg.ingest(batch):
-            stats["duplicates_ignored"] += 1
-        stats["batches_ingested"] += 1
-    delayed = []
-    for result in new_results:
-        for batch in result.batches:
-            if faults is not None and faults.drop_report_batch():
-                stats["batches_dropped"] += 1
-                tel.count("crowd.batches.dropped")
-                tel.event("crowd.batch.dropped", batch.time_ms,
-                          batch=batch.batch_id)
-                continue
-            if faults is not None and faults.delay_report_batch():
-                stats["batches_late"] += 1
-                tel.count("crowd.batches.delayed")
-                tel.event("crowd.batch.delayed", batch.time_ms,
-                          batch=batch.batch_id)
-                delayed.append(batch)
-                continue
-            if not round_agg.ingest(batch):
-                stats["duplicates_ignored"] += 1
-            stats["batches_ingested"] += 1
-            if faults is not None and faults.duplicate_report_batch():
-                stats["batches_duplicated"] += 1
-                stats["batches_ingested"] += 1
-                tel.count("crowd.batches.duplicated")
-                tel.event("crowd.batch.duplicated", batch.time_ms,
-                          batch=batch.batch_id)
-                if not round_agg.ingest(batch):
-                    stats["duplicates_ignored"] += 1
-    return CrowdAggregator.merge([aggregator, round_agg]), delayed
-
-
-def _run_fleet(device, seed, apps, fleet_size, rounds, actions, fault_rate,
-               workers, baseline, journal=None, report=None):
-    """Deploy one crowd-synced fleet; returns its :class:`CrowdCell`.
-
-    *baseline* maps (device_index, round_index) to the isolated
-    :class:`CrowdDeviceRound` of the same device and sessions.
-    *journal* checkpoints each device round under a key naming
-    (fleet size, round, device) — safe even though rounds feed forward,
-    because the published knowledge entering round *n* is itself a
-    pure function of the sweep parameters already in the run key.
-    """
-    faults = None
-    if fault_rate > 0.0:
-        plan = FaultPlan(
-            report_drop_rate=fault_rate,
-            report_duplicate_rate=fault_rate,
-            report_delay_rate=fault_rate,
-        )
-        faults = FaultInjector(plan, seed=seed,
-                               scope=("crowd-upload", fleet_size))
-    aggregator = CrowdAggregator()
-    pending = []
-    stats = {
-        "batches_ingested": 0, "batches_dropped": 0,
-        "batches_duplicated": 0, "batches_late": 0,
-        "duplicates_ignored": 0,
-    }
-    phase2 = 0
-    shorts = 0
-    sites = set()
-    tel = telemetry()
-    with tel.track(f"crowd/fleet{fleet_size}"):
-        for round_index in range(rounds):
-            with tel.span("crowd.round", fleet=fleet_size,
-                          round=round_index):
-                knowledge = aggregator.knowledge()
-                db_names = tuple(
-                    aggregator.publish_database().sorted_names()
-                )
-                tel.event(
-                    "crowd.publish", float(round_index),
-                    fleet=fleet_size, known_bugs=len(knowledge),
-                    blocking_apis=len(db_names),
-                )
-                payloads = [
-                    (device, seed, apps, device_index, round_index,
-                     actions, knowledge, db_names,
-                     f"crowd/fleet{fleet_size}/d{device_index}"
-                     f"/r{round_index}")
-                    for device_index in range(fleet_size)
-                ]
-                keys = [
-                    f"fleet{fleet_size}|r{round_index}|d{device_index}"
-                    for device_index in range(fleet_size)
-                ]
-                results = checkpointed_map(
-                    _crowd_device_round, payloads, keys, journal,
-                    workers=workers, report=report,
-                )
-                for result in results:
-                    phase2 += result.phase2_collections
-                    shorts += result.kb_short_circuits
-                    sites.update(result.detected_sites)
-                aggregator, pending = _ingest_round(
-                    aggregator, pending, results, faults, stats
-                )
-        if pending:
-            # Batches still in flight when the sweep ends arrive late
-            # but arrive: flush them so the final statistics converge.
-            aggregator, _ = _ingest_round(aggregator, pending, (), None,
-                                          stats)
-    knowledge = aggregator.knowledge()
-    published = aggregator.publish_database()
-    baseline_cells = [
-        baseline[(device_index, round_index)]
-        for device_index in range(fleet_size)
-        for round_index in range(rounds)
-    ]
-    baseline_sites = set()
-    for cell in baseline_cells:
-        baseline_sites.update(cell.detected_sites)
-    return CrowdCell(
-        fleet_size=fleet_size,
-        rounds=rounds,
-        phase2_collections=phase2,
-        baseline_collections=sum(
-            cell.phase2_collections for cell in baseline_cells
-        ),
-        kb_short_circuits=shorts,
-        bugs_detected=len(sites),
-        baseline_bugs_detected=len(baseline_sites),
-        known_bugs=len(knowledge),
-        new_blocking_apis=len(published.runtime_discoveries()),
-        **stats,
-    )
-
-
 def crowd_sweep(device, seed=0, fleet_sizes=DEFAULT_FLEET_SIZES, rounds=3,
                 apps=None, actions_per_round=40, fault_rate=0.0, workers=1,
                 checkpoint=None, resume=False, report=None):
@@ -442,47 +200,59 @@ def crowd_sweep(device, seed=0, fleet_sizes=DEFAULT_FLEET_SIZES, rounds=3,
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not 0.0 <= fault_rate <= 1.0:
         raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
-    if report is None:
-        report = ExecutionReport()
-    journal = None
-    if checkpoint is not None:
-        journal = ShardJournal(
-            checkpoint,
-            run_key("crowd", device.name, seed, fleet_sizes, rounds, apps,
-                    actions_per_round, fault_rate),
-            report=report,
-        ).open(resume=resume)
-    elif resume:
-        raise ValueError("resume requires a checkpoint directory")
+    scheduler = ElasticScheduler.for_sweep(
+        "crowd", device.name, seed, fleet_sizes, rounds, apps,
+        actions_per_round, fault_rate, workers=workers,
+        checkpoint=checkpoint, resume=resume, report=report,
+    )
     # Isolated-device baseline: the same (device, round) runs with no
     # crowd sync — knowledge empty, database as shipped.  Pure per
     # payload, so it shards freely.
-    base_payloads = [
-        (device, seed, apps, device_index, round_index, actions_per_round,
-         CrowdKnowledge(), tuple(BlockingApiDatabase.initial()),
-         f"crowd/base/d{device_index}/r{round_index}")
+    pairs = [
+        (device_index, round_index)
         for device_index in range(max(fleet_sizes))
         for round_index in range(rounds)
     ]
-    base_keys = [
-        f"base|d{device_index}|r{round_index}"
-        for device_index in range(max(fleet_sizes))
-        for round_index in range(rounds)
-    ]
-    base_results = checkpointed_map(_crowd_device_round, base_payloads,
-                                    base_keys, journal, workers=workers,
-                                    report=report)
-    baseline = {
-        (result.device_index, result.round_index): result
-        for result in base_results
-    }
-    cells = [
-        _run_fleet(device, seed, apps, fleet_size, rounds,
-                   actions_per_round, fault_rate, workers, baseline,
-                   journal=journal, report=report)
-        for fleet_size in fleet_sizes
-    ]
+    base_results = scheduler.map(
+        _crowd_device_round,
+        [
+            (device, seed, apps, device_index, round_index,
+             actions_per_round, CrowdKnowledge(),
+             tuple(BlockingApiDatabase.initial()),
+             f"crowd/base/d{device_index}/r{round_index}")
+            for device_index, round_index in pairs
+        ],
+        [f"base|d{device_index}|r{round_index}"
+         for device_index, round_index in pairs],
+    )
+    baseline = dict(zip(pairs, base_results))
+    cells = []
+    for fleet_size in fleet_sizes:
+        stream = run_rounds(
+            scheduler, device, seed, rounds, fleet_size, apps,
+            actions_per_round, track=f"crowd/fleet{fleet_size}",
+            key_prefix=f"fleet{fleet_size}",
+            upload_scope=("crowd-upload", fleet_size),
+            fault_rate=fault_rate,
+        )
+        isolated = [
+            baseline[(device_index, round_index)]
+            for device_index in range(fleet_size)
+            for round_index in range(rounds)
+        ]
+        cells.append(CrowdCell(
+            fleet_size=fleet_size,
+            rounds=rounds,
+            baseline_collections=sum(
+                result.phase2_collections for result in isolated
+            ),
+            baseline_bugs_detected=len({
+                site for result in isolated
+                for site in result.detected_sites
+            }),
+            **stream.final_summary(),
+        ))
     return CrowdSweepResult(
         cells=cells, fleet_sizes=fleet_sizes, apps=apps, rounds=rounds,
-        fault_rate=fault_rate, execution=report,
+        fault_rate=fault_rate, execution=scheduler.report,
     )

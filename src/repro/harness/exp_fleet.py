@@ -15,7 +15,7 @@ The fleet study decomposes at *app* granularity: each app's simulated
 deployment depends only on (device, root seed, app), thanks to the
 per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` shards
 the corpus across worker processes (``workers=N``) through
-:func:`repro.parallel.parallel_map`; shard results are partial
+:mod:`repro.sched`; shard results are partial
 :class:`Table5Result` objects recombined by :meth:`Table5Result.merge`,
 so the parallel output is bit-identical to the serial one regardless
 of worker count.
@@ -36,12 +36,10 @@ from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
 from repro.detectors.runner import run_detector
 from repro.harness.tables import render_table
-from repro.harness.training import validation_bug_cases
-from repro.checkpoint import ShardJournal, checkpointed_map, run_key
+from repro.harness.training import validation_firings
 from repro.parallel import ExecutionReport, chunk_indices, resolve_workers
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
-from repro.sim.pmu import PmuSampler
-from repro.sim.timeline import MAIN_THREAD, RENDER_THREAD
 from repro.telemetry import current as telemetry
 
 
@@ -172,20 +170,17 @@ class Table5Result:
 
 
 def _run_fleet_app(app, device, seed, users, actions_per_user, config,
-                   generator, scanner, blocking_db, crowd_kb=None):
+                   generator, scanner, blocking_db):
     """Deploy Hang Doctor on one app of the corpus.
 
     Returns ``(row, clean_flagged)``: a :class:`Table5Row` for catalog
     (bug-bearing) apps or ``None`` for generated clean ones, plus 1 if
-    a clean app was wrongly flagged.  *crowd_kb* (a
-    :class:`~repro.crowd.CrowdKnowledge`) lets the device short-circuit
-    fleet-diagnosed bugs instead of re-collecting traces.
+    a clean app was wrongly flagged.
     """
     app_seed = fleet_app_seed(seed, app.name)
     engine = ExecutionEngine(device, seed=app_seed)
     doctor = HangDoctor(
         app, device, config=config, blocking_db=blocking_db, seed=app_seed,
-        crowd_kb=crowd_kb,
     )
     detections = []
     is_catalog = bool(app.hang_bug_operations())
@@ -219,15 +214,10 @@ def _table5_shard(payload):
     """Run one contiguous slice of the corpus (module-level so the
     process pool can pickle it); returns a partial :class:`Table5Result`."""
     (device, seed, users, actions_per_user, corpus_size, config,
-     indices, blocking_names, crowd_kb) = payload
+     indices) = payload
     apps = build_corpus(seed=seed, size=corpus_size)
     generator = SessionGenerator(seed=seed)
-    if blocking_names is None:
-        blocking_db = BlockingApiDatabase.initial()
-    else:
-        # Crowd-synced deployment: start from the fleet's published
-        # database, so the scanner and runtime agree on what is known.
-        blocking_db = BlockingApiDatabase(blocking_names)
+    blocking_db = BlockingApiDatabase.initial()
     scanner = OfflineScanner(blocking_db=BlockingApiDatabase(
         blocking_db.names()
     ))
@@ -242,7 +232,7 @@ def _table5_shard(payload):
             tel.count("fleet.apps.run")
             row, flagged = _run_fleet_app(
                 apps[index], device, seed, users, actions_per_user,
-                config, generator, scanner, blocking_db, crowd_kb=crowd_kb,
+                config, generator, scanner, blocking_db,
             )
         if row is not None:
             rows.append(row)
@@ -256,8 +246,7 @@ def _table5_shard(payload):
 
 
 def table5(device, seed=0, users=4, actions_per_user=60,
-           corpus_size=FLEET_SIZE, config=None, workers=1,
-           blocking_names=None, crowd_kb=None, checkpoint=None,
+           corpus_size=FLEET_SIZE, config=None, workers=1, checkpoint=None,
            resume=False, report=None):
     """Reproduce Table 5's fleet study (scaled-down user base).
 
@@ -270,44 +259,21 @@ def table5(device, seed=0, users=4, actions_per_user=60,
     matches (anything else re-runs from scratch, never mixes slices).
     ``report`` collects supervision events (also attached to the
     result as ``execution``).
-
-    The two crowd hooks run the fleet as crowd-synced devices instead
-    of isolated ones: *blocking_names* pre-seeds every device's (and
-    the offline scanner's) blocking-API database — e.g. the
-    ``sorted_names()`` of a published
-    :meth:`~repro.crowd.CrowdAggregator.publish_database` — and
-    *crowd_kb* (a :class:`~repro.crowd.CrowdKnowledge`) lets devices
-    short-circuit fleet-diagnosed bugs without re-collecting traces.
-    Defaults reproduce the paper's isolated deployment unchanged.
-    A crowd-synced run is never journaled: the knowledge snapshot is
-    not part of the run key, so stale shards could not be detected.
     """
-    if blocking_names is not None:
-        blocking_names = tuple(sorted(blocking_names))
-    if report is None:
-        report = ExecutionReport()
-    slices = chunk_indices(corpus_size, resolve_workers(workers))
+    scheduler = ElasticScheduler.for_sweep(
+        "table5", device.name, seed, users, actions_per_user, corpus_size,
+        repr(config), resolve_workers(workers),
+        workers=workers, checkpoint=checkpoint, resume=resume,
+        report=report,
+    )
+    slices = chunk_indices(corpus_size, scheduler.workers)
     shards = [
-        (device, seed, users, actions_per_user, corpus_size, config, indices,
-         blocking_names, crowd_kb)
+        (device, seed, users, actions_per_user, corpus_size, config, indices)
         for indices in slices
     ]
     keys = [f"t5|{indices[0]}-{indices[-1]}" for indices in slices]
-    journal = None
-    if checkpoint is not None and crowd_kb is None:
-        journal = ShardJournal(
-            checkpoint,
-            run_key("table5", device.name, seed, users, actions_per_user,
-                    corpus_size, repr(config), blocking_names,
-                    resolve_workers(workers)),
-            report=report,
-        ).open(resume=resume)
-    elif resume and checkpoint is None:
-        raise ValueError("resume requires a checkpoint directory")
-    parts = checkpointed_map(_table5_shard, shards, keys, journal,
-                             workers=workers, report=report)
-    result = Table5Result.merge(parts)
-    result.execution = report
+    result = Table5Result.merge(scheduler.map(_table5_shard, shards, keys))
+    result.execution = scheduler.report
     return result
 
 
@@ -379,29 +345,9 @@ def table6(device, seed=0, runs=25, config=None, recognize_rate=0.5):
     """Reproduce Table 6's per-counter validation-bug attribution."""
     config = (config or HangDoctorConfig()).validate()
     events = config.filter_events()
-    sampler = PmuSampler(device, events, seed=seed)
-    engine = ExecutionEngine(device, seed=seed)
-
     per_app: Dict[str, Table6Row] = {}
     undetected = []
-    for case in validation_bug_cases():
-        action = case.app.action(case.action_name)
-        hangs = 0
-        fired = {event: 0 for event in events}
-        for _ in range(runs):
-            execution = engine.run_action(case.app, action)
-            if not execution.has_soft_hang:
-                continue
-            if case.site_id not in execution.hang_bug_sites():
-                continue
-            hangs += 1
-            for event in events:
-                value = sampler.read_difference(
-                    execution.timeline, event, MAIN_THREAD, RENDER_THREAD,
-                    execution.start_ms, execution.end_ms,
-                )
-                if value > config.filter_thresholds[event]:
-                    fired[event] += 1
+    for case, hangs, fired in validation_firings(device, seed, config, runs):
         row = per_app.setdefault(
             case.app.name,
             Table6Row(app_name=case.app.name, new_bugs=0,

@@ -39,7 +39,6 @@ from repro.analysis.metrics import (
     false_positive_actions,
 )
 from repro.apps.sessions import SessionGenerator
-from repro.checkpoint import ShardJournal, checkpointed_map, run_key
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
@@ -56,7 +55,7 @@ from repro.scenarios import (
     parse_mix,
     render_mix,
 )
-from repro.sched import CostModel, pack_by_weight
+from repro.sched import CostModel, ElasticScheduler, pack_by_weight
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
@@ -290,15 +289,19 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
     mix = parse_mix(mix)
     if size <= 0:
         raise ValueError("size must be positive")
-    if report is None:
-        report = ExecutionReport()
+    scheduler = ElasticScheduler.for_sweep(
+        "scenarios", device.name, seed, size, repr(mix), users,
+        actions_per_user, repr(config), resolve_workers(workers),
+        workers=workers, checkpoint=checkpoint, resume=resume,
+        report=report,
+    )
     assignment = assign_archetypes(mix, size)
     cost_model = CostModel.from_trajectory()
     weights = [
         cost_model.archetype_weight(assignment[index][0])
         for index in range(size)
     ]
-    groups = pack_by_weight(weights, resolve_workers(workers))
+    groups = pack_by_weight(weights, scheduler.workers)
     shards = [
         (device, seed, size, mix, users, actions_per_user, config,
          indices)
@@ -308,21 +311,10 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
         f"sc|{indices[0]}-{indices[-1]}x{len(indices)}"
         for indices in groups
     ]
-    journal = None
-    if checkpoint is not None:
-        journal = ShardJournal(
-            checkpoint,
-            run_key("scenarios", device.name, seed, size, repr(mix),
-                    users, actions_per_user, repr(config),
-                    resolve_workers(workers)),
-            report=report,
-        ).open(resume=resume)
-    elif resume:
-        raise ValueError("resume requires a checkpoint directory")
-    parts = checkpointed_map(_scenario_shard, shards, keys, journal,
-                             workers=workers, report=report)
-    result = ScenarioResult.merge(parts)
-    result.execution = report
+    result = ScenarioResult.merge(
+        scheduler.map(_scenario_shard, shards, keys)
+    )
+    result.execution = scheduler.report
     return result
 
 

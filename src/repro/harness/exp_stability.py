@@ -12,7 +12,7 @@ cherry-pick:
 
 Each seed's measurement is independent of every other seed's, so the
 sweeps shard per seed across worker processes (``workers=N``) through
-:func:`repro.parallel.parallel_map`; single-seed partial results merge
+:mod:`repro.sched`; single-seed partial results merge
 back via :meth:`StabilityResult.merge` in seed order, keeping the
 output identical to a serial sweep.
 """
@@ -26,12 +26,12 @@ import numpy as np
 from repro.analysis.correlation import correlate, ranked_events
 from repro.analysis.thresholds import fit_filter
 from repro.apps.corpus import FLEET_SIZE
-from repro.checkpoint import ShardJournal, checkpointed_map, run_key
 from repro.harness.exp_comparison import figure8
 from repro.harness.exp_fleet import table5
 from repro.harness.exp_filter import training_samples
 from repro.harness.tables import render_table
-from repro.parallel import ExecutionReport, parallel_map
+from repro.parallel import ExecutionReport
+from repro.sched import ElasticScheduler
 
 
 @dataclass(frozen=True)
@@ -119,27 +119,19 @@ def fleet_stability(device, seeds=(3, 7, 13), users=3,
     ``checkpoint``/``resume`` journal each seed's completed shard so a
     killed sweep restarts where it left off, byte-identically.
     """
-    if report is None:
-        report = ExecutionReport()
+    scheduler = ElasticScheduler.for_sweep(
+        "stability", device.name, tuple(seeds), users, actions_per_user,
+        corpus_size, workers=workers, checkpoint=checkpoint, resume=resume,
+        report=report,
+    )
     shards = [
         (device, seed, users, actions_per_user, corpus_size)
         for seed in seeds
     ]
-    journal = None
-    if checkpoint is not None:
-        journal = ShardJournal(
-            checkpoint,
-            run_key("stability", device.name, tuple(seeds), users,
-                    actions_per_user, corpus_size),
-            report=report,
-        ).open(resume=resume)
-    elif resume:
-        raise ValueError("resume requires a checkpoint directory")
-    result = StabilityResult.merge(checkpointed_map(
+    result = StabilityResult.merge(scheduler.map(
         _fleet_stability_shard, shards, [f"seed|{s}" for s in seeds],
-        journal, workers=workers, report=report,
     ))
-    return dataclasses.replace(result, execution=report)
+    return dataclasses.replace(result, execution=scheduler.report)
 
 
 def _comparison_stability_shard(payload):
@@ -166,7 +158,10 @@ def comparison_stability(device, seeds=(2, 5, 11), users=2,
     """Figure 8's Hang Doctor averages across seeds."""
     shards = [(device, seed, users, actions_per_user) for seed in seeds]
     return StabilityResult.merge(
-        parallel_map(_comparison_stability_shard, shards, workers=workers)
+        ElasticScheduler.for_sweep(workers=workers).map(
+            _comparison_stability_shard, shards,
+            [f"figure8|seed{s}" for s in seeds],
+        )
     )
 
 
@@ -192,5 +187,8 @@ def filter_stability(device, seeds=(7, 21, 42), runs_per_case=8, workers=1):
     """The refitted filter's quality across training realizations."""
     shards = [(device, seed, runs_per_case) for seed in seeds]
     return StabilityResult.merge(
-        parallel_map(_filter_stability_shard, shards, workers=workers)
+        ElasticScheduler.for_sweep(workers=workers).map(
+            _filter_stability_shard, shards,
+            [f"filter|seed{s}" for s in seeds],
+        )
     )

@@ -1,4 +1,4 @@
-"""Continuous fleet mode: a long-lived crowd sweep with churn.
+"""Continuous fleet mode, on the sync-round loop every crowd run uses.
 
 The crowd sweep (:mod:`repro.harness.exp_crowd`) deploys a fixed fleet
 for a fixed number of sync rounds.  A real deployment never looks like
@@ -10,7 +10,13 @@ whose membership evolves on a **seeded churn schedule**, dispatched
 through the elastic scheduler (:mod:`repro.sched`) so stragglers are
 stolen from and dead workers reshard instead of serializing the round.
 
-Determinism contract (the acceptance criteria of the stream smokes):
+Both sweeps run the one round loop here, :func:`run_rounds`: churn,
+publish, dispatch the device rounds, ingest the uploads, record the
+round's stats, and flush late batches at the end.  The crowd sweep is
+the loop with churn off and a publish every round, once per fleet
+size.
+
+Determinism contract (the acceptance criteria of the sweep smokes):
 
 * **Churn is data, not timing.**  Join/leave events draw from the
   keyed ``device_churn`` fault channel — the verdict for (kind, round,
@@ -29,30 +35,34 @@ Determinism contract (the acceptance criteria of the stream smokes):
   :class:`~repro.parallel.ExecutionReport` (``--verbose`` /
   ``--report-json``) and on the advisory telemetry channel
   (``stream.sched`` events, one per round) — never in rendered output.
-* **Crowd equivalence.**  With churn off, executor faults off, and
-  ``publish_every=1``, a static fleet of size *n* reruns the crowd
-  sweep's deployment exactly: same per-(device, round) seeds, same
-  publish→run→ingest order, same final pending-batch flush — the
-  stream's aggregate totals reproduce the ``crowd`` cell bit for bit
-  (defended by ``tests/test_sched.py``).
+* **Crowd equivalence holds by construction.**  With churn off,
+  executor faults off, and ``publish_every=1``, a static fleet of size
+  *n* runs the same loop a ``crowd`` cell runs — same per-(device,
+  round) seeds, same publish→run→ingest order, same final
+  pending-batch flush — so the stream's aggregate totals are that
+  cell's.
 """
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.checkpoint import ShardJournal, run_key
+from repro.analysis.metrics import detected_bug_sites
+from repro.apps.catalog import get_app
+from repro.apps.sessions import SessionGenerator
+from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.crowd import CrowdAggregator
+from repro.core.hang_doctor import HangDoctor
+from repro.crowd import CrowdAggregator, ReportBatch
+from repro.detectors.runner import run_detector
 from repro.faults import FaultInjector, FaultPlan
-from repro.harness.exp_crowd import (
-    CROWD_APPS,
-    _crowd_device_round,
-    _ingest_round,
-)
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.sched import CostModel, ElasticScheduler
+from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
+
+#: Default app set: a representative slice of the Figure 8 apps.
+CROWD_APPS = ("AndStatus", "K9-mail")
 
 #: Default sync rounds of a stream run.
 DEFAULT_ROUNDS = 6
@@ -68,6 +78,146 @@ DEADLINE_FACTOR = 200.0
 #: Per-round batch-accounting keys (the crowd sweep's stats contract).
 _STAT_KEYS = ("batches_ingested", "batches_dropped", "batches_duplicated",
               "batches_late", "duplicates_ignored")
+
+
+def crowd_device_seed(seed, device_index, round_index):
+    """Per-(device, round) seed, derived from the root seed.
+
+    Keyed-hash derivation (like
+    :func:`~repro.harness.exp_fleet.fleet_app_seed`) makes a device's
+    round independent of fleet size, worker count, and every other
+    device's rounds — which is what lets fleets of different sizes
+    share the same per-device behaviour and makes the superset
+    argument (bigger fleet, more knowledge, fewer collections) hold.
+    """
+    return substream_seed(seed, "crowd", device_index, round_index)
+
+
+@dataclass(frozen=True)
+class CrowdDeviceRound:
+    """One device's results for one sync round (all apps)."""
+
+    device_index: int
+    round_index: int
+    #: Phase-2 trace collections the device paid for this round.
+    phase2_collections: int
+    #: Collections avoided via the crowd known-bug table.
+    kb_short_circuits: int
+    #: Ground-truth bug sites detected, as (app_name, site_id) pairs.
+    detected_sites: Tuple[Tuple[str, str], ...]
+    #: Report batches to upload (one per app with a non-empty report).
+    batches: Tuple[ReportBatch, ...]
+
+
+def _crowd_device_round(payload):
+    """Run one device for one sync round (module-level so the process
+    pool can pickle it); returns a :class:`CrowdDeviceRound`.
+
+    The device runs every app of the study with the crowd-synced
+    knowledge and blocking-database snapshot published at the start of
+    the round, then digests its per-app Hang Bug Reports into upload
+    batches stamped with the round index.
+
+    The payload's trailing *track* element names the telemetry track
+    the round's records land on (e.g. ``crowd/fleet4/d1/r0``) — it has
+    to travel in the payload because the baseline and the fleet's
+    round 0 are otherwise byte-identical payloads, and shard-derived
+    names would move with the worker count.
+    """
+    (device, seed, app_names, device_index, round_index, actions,
+     knowledge, db_names, track) = payload
+    tel = telemetry()
+    with tel.track(track):
+        tel.count("crowd.device_rounds")
+        round_seed = crowd_device_seed(seed, device_index, round_index)
+        generator = SessionGenerator(seed=round_seed)
+        phase2 = 0
+        shorts = 0
+        sites = []
+        batches = []
+        for app_name in app_names:
+            app = get_app(app_name)
+            app_seed = substream_seed(round_seed, app_name)
+            engine = ExecutionEngine(device, seed=app_seed)
+            doctor = HangDoctor(
+                app, device, seed=app_seed,
+                blocking_db=BlockingApiDatabase(db_names),
+                crowd_kb=knowledge,
+            )
+            session = generator.user_session(
+                app, user_id=device_index, actions_per_user=actions
+            )
+            executions = engine.run_session(app, session.action_names,
+                                            gap_ms=1000.0)
+            run = run_detector(doctor, executions, device_id=device_index)
+            phase2 += doctor.phase2_collections
+            shorts += doctor.kb_short_circuits
+            sites.extend(
+                (app_name, site)
+                for site in sorted(detected_bug_sites(app, run.detections))
+            )
+            if len(doctor.report):
+                batches.append(ReportBatch.from_report(
+                    doctor.report, device_id=device_index,
+                    time_ms=float(round_index),
+                    batch_id=(
+                        f"{app_name}/dev{device_index}/round{round_index}"
+                    ),
+                ))
+    return CrowdDeviceRound(
+        device_index=device_index,
+        round_index=round_index,
+        phase2_collections=phase2,
+        kb_short_circuits=shorts,
+        detected_sites=tuple(sites),
+        batches=tuple(batches),
+    )
+
+
+def _ingest_round(aggregator, arrivals, new_results, faults, stats):
+    """Upload phase of one round: deliver late batches from the
+    previous round, then this round's uploads through the fault seams.
+
+    Returns the merged aggregator and the batches delayed into the
+    next round.  Ingestion order is the deterministic submission order
+    (late arrivals first, then device order), and fault decisions are
+    drawn serially here in the parent, so worker count never reaches
+    the fault streams.
+    """
+    tel = telemetry()
+    round_agg = CrowdAggregator()
+    for batch in arrivals:
+        if not round_agg.ingest(batch):
+            stats["duplicates_ignored"] += 1
+        stats["batches_ingested"] += 1
+    delayed = []
+    for result in new_results:
+        for batch in result.batches:
+            if faults is not None and faults.drop_report_batch():
+                stats["batches_dropped"] += 1
+                tel.count("crowd.batches.dropped")
+                tel.event("crowd.batch.dropped", batch.time_ms,
+                          batch=batch.batch_id)
+                continue
+            if faults is not None and faults.delay_report_batch():
+                stats["batches_late"] += 1
+                tel.count("crowd.batches.delayed")
+                tel.event("crowd.batch.delayed", batch.time_ms,
+                          batch=batch.batch_id)
+                delayed.append(batch)
+                continue
+            if not round_agg.ingest(batch):
+                stats["duplicates_ignored"] += 1
+            stats["batches_ingested"] += 1
+            if faults is not None and faults.duplicate_report_batch():
+                stats["batches_duplicated"] += 1
+                stats["batches_ingested"] += 1
+                tel.count("crowd.batches.duplicated")
+                tel.event("crowd.batch.duplicated", batch.time_ms,
+                          batch=batch.batch_id)
+                if not round_agg.ingest(batch):
+                    stats["duplicates_ignored"] += 1
+    return CrowdAggregator.merge([aggregator, round_agg]), delayed
 
 
 def stream_deadline(cost_model, app_count, actions):
@@ -243,6 +393,154 @@ def _churn_round(faults, round_index, members, next_id, fleet_size):
     return sorted(members), next_id, tuple(joined), tuple(left)
 
 
+def run_rounds(scheduler, device, seed, rounds, fleet_size, apps,
+               actions_per_round, track, key_prefix, upload_scope,
+               churn_rate=0.0, publish_every=1, fault_rate=0.0):
+    """Run *rounds* sync rounds of one fleet; returns a StreamResult.
+
+    Each round churns the membership (keyed schedule at *churn_rate*),
+    refreshes the published knowledge every *publish_every* rounds,
+    dispatches one device round per member through *scheduler*, and
+    ingests the uploads through the fault seams (*fault_rate*, drawn
+    from the *upload_scope* stream); batches still in flight when the
+    last round ends are flushed.  Records land on telemetry track
+    *track*; the device round of device *d* in round *r* runs on track
+    ``{track}/d{d}/r{r}`` and is journaled under
+    ``{key_prefix}|r{r}|d{d}``.
+    """
+    report = scheduler.report
+    churn = None
+    if churn_rate > 0.0:
+        churn = FaultInjector(FaultPlan(device_churn_rate=churn_rate),
+                              seed=seed, scope=("stream-churn",))
+    upload = None
+    if fault_rate > 0.0:
+        upload = FaultInjector(
+            FaultPlan(report_drop_rate=fault_rate,
+                      report_duplicate_rate=fault_rate,
+                      report_delay_rate=fault_rate),
+            seed=seed, scope=upload_scope,
+        )
+    members = list(range(fleet_size))
+    next_id = fleet_size
+    aggregator = CrowdAggregator()
+    pending = []
+    snapshot = None
+    series = []
+    sites = set()
+    totals = dict.fromkeys(_STAT_KEYS, 0)
+    total_phase2 = 0
+    total_shorts = 0
+    device_rounds = 0
+    tel = telemetry()
+    with tel.track(track):
+        for round_index in range(rounds):
+            with tel.span("stream.round", round=round_index):
+                members, next_id, joined, left = _churn_round(
+                    churn, round_index, members, next_id, fleet_size
+                )
+                report.churn_events += len(joined) + len(left)
+                published = round_index % publish_every == 0
+                if published or snapshot is None:
+                    snapshot = (
+                        aggregator.knowledge(),
+                        tuple(aggregator.publish_database().sorted_names()),
+                    )
+                knowledge, db_names = snapshot
+                tel.event(
+                    "stream.publish", float(round_index),
+                    fleet=len(members), known_bugs=len(knowledge),
+                    blocking_apis=len(db_names), refreshed=published,
+                )
+                payloads = [
+                    (device, seed, apps, device_index, round_index,
+                     actions_per_round, knowledge, db_names,
+                     f"{track}/d{device_index}/r{round_index}")
+                    for device_index in members
+                ]
+                keys = [
+                    f"{key_prefix}|r{round_index}|d{device_index}"
+                    for device_index in members
+                ]
+                # Deterministic dispatch accounting: a pure function of
+                # the round's members, never of dispatch rounds or
+                # journal hits.  Counted here, not in the scheduler,
+                # whose other callers (table5, scenarios) hand it
+                # worker-count slices.
+                tel.count("sched.maps")
+                tel.count("sched.items.mapped", len(payloads))
+                steals_before = report.steals
+                reshards_before = report.reshards
+                results = scheduler.map(_crowd_device_round, payloads,
+                                        keys)
+                tel.advisory_event(
+                    "stream.sched", round=round_index,
+                    steals=report.steals - steals_before,
+                    reshards=report.reshards - reshards_before,
+                    dispatch_rounds=scheduler.dispatch_rounds,
+                )
+                phase2 = sum(r.phase2_collections for r in results)
+                shorts = sum(r.kb_short_circuits for r in results)
+                for result in results:
+                    sites.update(result.detected_sites)
+                stats = dict.fromkeys(_STAT_KEYS, 0)
+                aggregator, pending = _ingest_round(
+                    aggregator, pending, results, upload, stats
+                )
+                for key in _STAT_KEYS:
+                    totals[key] += stats[key]
+                total_phase2 += phase2
+                total_shorts += shorts
+                device_rounds += len(members)
+                # Deterministic per-round accounting on the trace
+                # channel: pure function of (seed, sweep params), so
+                # the ops plane's round-domain rollups can be rebuilt
+                # from trace.jsonl alone, bit for bit.
+                tel.event(
+                    "stream.round.stats", float(round_index),
+                    round=round_index, fleet=len(members),
+                    phase2_collections=phase2, kb_short_circuits=shorts,
+                    **stats,
+                )
+                series.append(StreamRound(
+                    round_index=round_index,
+                    fleet=tuple(members),
+                    joined=joined,
+                    left=left,
+                    published=published,
+                    known_bugs=len(knowledge),
+                    blocking_apis=len(db_names),
+                    phase2_collections=phase2,
+                    kb_short_circuits=shorts,
+                    **stats,
+                ))
+        if pending:
+            # Batches still in flight when the run ends arrive late
+            # but arrive: flush them so the final statistics converge.
+            stats = dict.fromkeys(_STAT_KEYS, 0)
+            aggregator, _ = _ingest_round(aggregator, pending, (), None,
+                                          stats)
+            for key in _STAT_KEYS:
+                totals[key] += stats[key]
+    published_db = aggregator.publish_database()
+    return StreamResult(
+        rounds=series,
+        fleet_size=fleet_size,
+        churn_rate=churn_rate,
+        publish_every=publish_every,
+        apps=apps,
+        fault_rate=fault_rate,
+        phase2_collections=total_phase2,
+        kb_short_circuits=total_shorts,
+        bugs_detected=len(sites),
+        known_bugs=len(aggregator.knowledge()),
+        new_blocking_apis=len(published_db.runtime_discoveries()),
+        device_rounds=device_rounds,
+        execution=report,
+        **totals,
+    )
+
+
 def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
                  churn_rate=0.0, publish_every=1, apps=None,
                  actions_per_round=40, fault_rate=0.0,
@@ -277,34 +575,6 @@ def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
                        ("shard_stall_rate", shard_stall_rate)):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {rate}")
-    if report is None:
-        report = ExecutionReport()
-    journal = None
-    if checkpoint is not None:
-        # The run key spans everything that shapes output — and
-        # nothing that only shapes timing: workers, the executor-storm
-        # rates, and the deadline are all absent on purpose.
-        journal = ShardJournal(
-            checkpoint,
-            run_key("stream", device.name, seed, rounds, fleet_size,
-                    churn_rate, publish_every, apps, actions_per_round,
-                    fault_rate),
-            report=report,
-        ).open(resume=resume)
-    elif resume:
-        raise ValueError("resume requires a checkpoint directory")
-    churn = None
-    if churn_rate > 0.0:
-        churn = FaultInjector(FaultPlan(device_churn_rate=churn_rate),
-                              seed=seed, scope=("stream-churn",))
-    upload = None
-    if fault_rate > 0.0:
-        upload = FaultInjector(
-            FaultPlan(report_drop_rate=fault_rate,
-                      report_duplicate_rate=fault_rate,
-                      report_delay_rate=fault_rate),
-            seed=seed, scope=("stream-upload",),
-        )
     storm = None
     if worker_kill_rate > 0.0 or shard_stall_rate > 0.0:
         storm = FaultInjector(
@@ -312,127 +582,21 @@ def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
                       shard_stall_rate=shard_stall_rate),
             seed=seed, scope=("stream-exec",),
         )
-    cost_model = CostModel.from_trajectory()
     if deadline is None:
-        deadline = stream_deadline(cost_model, len(apps),
+        deadline = stream_deadline(CostModel.from_trajectory(), len(apps),
                                    actions_per_round)
-    scheduler = ElasticScheduler(
-        workers=workers, cost_model=cost_model, faults=storm,
-        journal=journal, report=report, deadline=deadline, seed=seed,
+    # The run key spans everything that shapes output — and nothing
+    # that only shapes timing: workers, the executor-storm rates, and
+    # the deadline are all absent on purpose.
+    scheduler = ElasticScheduler.for_sweep(
+        "stream", device.name, seed, rounds, fleet_size, churn_rate,
+        publish_every, apps, actions_per_round, fault_rate,
+        workers=workers, checkpoint=checkpoint, resume=resume,
+        report=report, faults=storm, deadline=deadline, seed=seed,
     )
-    members = list(range(fleet_size))
-    next_id = fleet_size
-    aggregator = CrowdAggregator()
-    pending = []
-    snapshot = None
-    series = []
-    sites = set()
-    totals = dict.fromkeys(_STAT_KEYS, 0)
-    total_phase2 = 0
-    total_shorts = 0
-    device_rounds = 0
-    tel = telemetry()
-    with tel.track("stream"):
-        for round_index in range(rounds):
-            with tel.span("stream.round", round=round_index):
-                members, next_id, joined, left = _churn_round(
-                    churn, round_index, members, next_id, fleet_size
-                )
-                report.churn_events += len(joined) + len(left)
-                published = round_index % publish_every == 0
-                if published or snapshot is None:
-                    snapshot = (
-                        aggregator.knowledge(),
-                        tuple(aggregator.publish_database().sorted_names()),
-                    )
-                knowledge, db_names = snapshot
-                tel.event(
-                    "stream.publish", float(round_index),
-                    fleet=len(members), known_bugs=len(knowledge),
-                    blocking_apis=len(db_names), refreshed=published,
-                )
-                payloads = [
-                    (device, seed, apps, device_index, round_index,
-                     actions_per_round, knowledge, db_names,
-                     f"stream/d{device_index}/r{round_index}")
-                    for device_index in members
-                ]
-                keys = [
-                    f"stream|r{round_index}|d{device_index}"
-                    for device_index in members
-                ]
-                weights = [
-                    cost_model.device_round_weight(len(apps),
-                                                   actions_per_round)
-                ] * len(payloads)
-                steals_before = report.steals
-                reshards_before = report.reshards
-                results = scheduler.map(_crowd_device_round, payloads,
-                                        keys, weights=weights)
-                tel.advisory_event(
-                    "stream.sched", round=round_index,
-                    steals=report.steals - steals_before,
-                    reshards=report.reshards - reshards_before,
-                    dispatch_rounds=scheduler.dispatch_rounds,
-                )
-                phase2 = sum(r.phase2_collections for r in results)
-                shorts = sum(r.kb_short_circuits for r in results)
-                for result in results:
-                    sites.update(result.detected_sites)
-                stats = dict.fromkeys(_STAT_KEYS, 0)
-                aggregator, pending = _ingest_round(
-                    aggregator, pending, results, upload, stats
-                )
-                for key in _STAT_KEYS:
-                    totals[key] += stats[key]
-                total_phase2 += phase2
-                total_shorts += shorts
-                device_rounds += len(members)
-                # Deterministic per-round accounting on the trace
-                # channel: pure function of (seed, stream params), so
-                # the ops plane's round-domain rollups can be rebuilt
-                # from trace.jsonl alone, bit for bit.
-                tel.event(
-                    "stream.round.stats", float(round_index),
-                    round=round_index, fleet=len(members),
-                    phase2_collections=phase2, kb_short_circuits=shorts,
-                    **stats,
-                )
-                series.append(StreamRound(
-                    round_index=round_index,
-                    fleet=tuple(members),
-                    joined=joined,
-                    left=left,
-                    published=published,
-                    known_bugs=len(knowledge),
-                    blocking_apis=len(db_names),
-                    phase2_collections=phase2,
-                    kb_short_circuits=shorts,
-                    **stats,
-                ))
-        if pending:
-            # Batches still in flight when the stream ends arrive late
-            # but arrive — same flush the crowd sweep performs, so the
-            # static-fleet aggregate converges to the crowd cell.
-            stats = dict.fromkeys(_STAT_KEYS, 0)
-            aggregator, _ = _ingest_round(aggregator, pending, (), None,
-                                          stats)
-            for key in _STAT_KEYS:
-                totals[key] += stats[key]
-    published_db = aggregator.publish_database()
-    return StreamResult(
-        rounds=series,
-        fleet_size=fleet_size,
-        churn_rate=churn_rate,
-        publish_every=publish_every,
-        apps=apps,
-        fault_rate=fault_rate,
-        phase2_collections=total_phase2,
-        kb_short_circuits=total_shorts,
-        bugs_detected=len(sites),
-        known_bugs=len(aggregator.knowledge()),
-        new_blocking_apis=len(published_db.runtime_discoveries()),
-        device_rounds=device_rounds,
-        execution=report,
-        **totals,
+    return run_rounds(
+        scheduler, device, seed, rounds, fleet_size, apps,
+        actions_per_round, track="stream", key_prefix="stream",
+        upload_scope=("stream-upload",), churn_rate=churn_rate,
+        publish_every=publish_every, fault_rate=fault_rate,
     )

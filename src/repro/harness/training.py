@@ -19,7 +19,9 @@ from repro.apps.app import AppSpec
 from repro.apps.catalog import TABLE5_APPS, get_app
 from repro.apps.catalog_helpers import op, ui_action
 from repro.sim.counters import ALL_EVENTS
+from repro.sim.engine import ExecutionEngine
 from repro.sim.pmu import PmuSampler
+from repro.sim.timeline import MAIN_THREAD, RENDER_THREAD
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,41 @@ def validation_bug_cases():
                     )
                 )
     return cases
+
+
+def validation_firings(device, seed, config, runs):
+    """How often each filter event fires on every validation bug.
+
+    Runs each validation case's action *runs* times on one shared
+    engine and sampler, keeps the soft hangs at the case's own bug
+    site, and counts the hangs on which each of *config*'s filter
+    events exceeds its threshold.  Returns ``[(case, hangs, fired)]``
+    in case order, *fired* mapping event -> count.
+    """
+    events = config.filter_events()
+    sampler = PmuSampler(device, events, seed=seed)
+    engine = ExecutionEngine(device, seed=seed)
+    firings = []
+    for case in validation_bug_cases():
+        action = case.app.action(case.action_name)
+        hangs = 0
+        fired = {event: 0 for event in events}
+        for _ in range(runs):
+            execution = engine.run_action(case.app, action)
+            if not execution.has_soft_hang:
+                continue
+            if case.site_id not in execution.hang_bug_sites():
+                continue
+            hangs += 1
+            for event in events:
+                value = sampler.read_difference(
+                    execution.timeline, event, MAIN_THREAD, RENDER_THREAD,
+                    execution.start_ms, execution.end_ms,
+                )
+                if value > config.filter_thresholds[event]:
+                    fired[event] += 1
+        firings.append((case, hangs, fired))
+    return firings
 
 
 def collect_training_samples(engine, cases, runs_per_case=10, mode="diff",

@@ -5,7 +5,7 @@ One entry point, :func:`write_obs_exports`, turns a telemetry session
 results into the three deterministic ops-plane files.  They ride the
 same byte-identity guarantee as the PR 5 exports: identical across
 ``--workers`` counts, repeat runs, and SIGKILL + resume, which the
-``obs-smoke`` CI job byte-diffs for.
+``sweep-smoke`` CI job byte-diffs for.
 """
 
 import pathlib
@@ -45,7 +45,10 @@ def write_obs_exports(directory, session=None, records=None, stream=None,
     with their respective window domains.
     """
     if records is None and session is not None:
-        records = session.records
+        # Fold in trace.jsonl's canonical (track, seq) order: float sums
+        # then never depend on the order shards were absorbed in (which
+        # follows the worker count), and match an offline rebuild.
+        records = sorted(session.records, key=lambda r: (r.track, r.seq))
     records = records if records is not None else ()
     rollup = build_rollup(
         records=records, stream=stream, chaos=chaos,

@@ -74,14 +74,6 @@ class CostModel:
         """Relative cost of one app of *archetype* (1.0 if unknown)."""
         return float(self.archetype_weights.get(archetype, 1.0))
 
-    def app_weight(self, archetype, actions=None):
-        """Weight of one app deployment: archetype cost, scaled by the
-        session length when given."""
-        weight = self.archetype_weight(archetype)
-        if actions is not None:
-            weight *= max(1.0, float(actions)) / REFERENCE_ACTIONS
-        return weight
-
     def device_round_weight(self, app_count, actions):
         """Weight of one device sync round: *app_count* catalog apps,
         *actions* user actions each.  Catalog apps are hand-modelled

@@ -9,13 +9,18 @@ onto the rest of the pool), and a worker death must *reshard* the
 in-flight work instead of serializing it in the parent.
 
 :class:`ElasticScheduler` implements that loop on top of the
-supervised executor's reclaim mode
-(:func:`repro.parallel.parallel_map` with ``reclaim=True``):
+supervised executor's reclaim mode, and every sweep dispatches through
+it (:meth:`ElasticScheduler.for_sweep` opens the sweep's journal and
+report):
 
-1. Pack pending items into weighted shards (deterministic LPT, see
-   :func:`pack_by_weight`) — one shard per live worker slot.
+1. Under a straggler deadline, pack pending items into weighted shards
+   (deterministic LPT, see :func:`pack_by_weight`) — one shard per
+   live worker slot.  Without one, each item is its own shard.
 2. Write-ahead the assignment to the checkpoint journal's
-   reassignment log, then dispatch the round.
+   reassignment log, then dispatch the round through
+   :func:`~repro.checkpoint.checkpointed_map` with ``reclaim=True``:
+   journaled shards restore, the rest run and are journaled as they
+   complete.
 3. Reclaim whatever stalled (a *steal*: the items repack next round,
    accounted in ``ExecutionReport.steals``) or died with a worker (a
    *reshard*, accounted in ``reshards``) — each decision journaled
@@ -37,11 +42,9 @@ never in deterministic output.
 import heapq
 
 from repro.base.rng import stream
+from repro.checkpoint.journal import ShardJournal, checkpointed_map, run_key
 from repro.faults import FaultInjector
-from repro.parallel import ExecutionReport, parallel_map, resolve_workers
-from repro.sched.cost import CostModel
-from repro.telemetry import absorb_value
-from repro.telemetry import current as _telemetry_current
+from repro.parallel import ExecutionReport, PartialResult, resolve_workers
 
 #: Seeded jitter band on the per-round steal deadline: each round's
 #: deadline is the base deadline times 1 + U[0, DEADLINE_JITTER).
@@ -81,9 +84,9 @@ def pack_by_weight(weights, bins):
 
 def _run_group(payload):
     """Execute one packed shard (module-level so the pool can pickle
-    it): run each item in key order, return the values in that order."""
-    fn, pairs = payload
-    return [fn(item) for _key, item in pairs]
+    it): run each item in order, return the values in that order."""
+    fn, items = payload
+    return [fn(item) for item in items]
 
 
 class ElasticScheduler:
@@ -92,31 +95,31 @@ class ElasticScheduler:
     Parameters
     ----------
     workers: worker processes (``0``/``None`` = one per CPU).
-    cost_model: :class:`~repro.sched.cost.CostModel` used when a
-        :meth:`map` call passes no explicit weights (items weigh 1.0
-        without either).
     faults: optional :class:`~repro.faults.FaultInjector` whose
         executor channels (``worker_kill``/``shard_stall``) are
         re-scoped per dispatch round — a shard killed in round *r*
         draws a fresh verdict in round *r + 1*, so injected storms
         exercise stealing and resharding without livelocking the loop.
-    journal: optional :class:`~repro.checkpoint.ShardJournal`; completed
-        shards are journaled the moment they finish (content-keyed, so
-        an interrupted run resumes from its last completed shard) and
-        every assignment/steal/reshard is write-ahead logged.
+    journal: optional :class:`~repro.checkpoint.ShardJournal`; every
+        dispatch round goes through
+        :func:`~repro.checkpoint.checkpointed_map`, so completed shards
+        are journaled the moment they finish (an interrupted run
+        resumes from its last completed shard) and every
+        assignment/steal/reshard is write-ahead logged.
     report: :class:`~repro.parallel.ExecutionReport` accounting the
         run (``steals``/``reshards`` on top of the supervisor's own
         counters).
     deadline: base straggler deadline in wall seconds (jittered per
-        round from the seeded stream; ``None`` disables stealing).
+        round from the seeded stream).  ``None`` disables stealing and
+        packing: each item is then its own shard, journaled under its
+        own key.
     seed: seeds the deadline-jitter stream only — scheduling decisions
         never touch the work items' own streams.
     """
 
-    def __init__(self, workers=1, cost_model=None, faults=None,
-                 journal=None, report=None, deadline=None, seed=0):
+    def __init__(self, workers=1, faults=None, journal=None, report=None,
+                 deadline=None, seed=0):
         self.workers = resolve_workers(workers)
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.faults = faults
         self.journal = journal
         self.report = report if report is not None else ExecutionReport()
@@ -124,6 +127,31 @@ class ElasticScheduler:
         self.seed = seed
         #: Dispatch rounds issued across all :meth:`map` calls.
         self.dispatch_rounds = 0
+
+    @classmethod
+    def for_sweep(cls, *run_parts, workers=1, checkpoint=None, resume=False,
+                  report=None, faults=None, deadline=None, seed=0):
+        """The scheduler one sweep dispatches through.
+
+        *run_parts* are the sweep's full parameterization (see
+        :func:`~repro.checkpoint.run_key`); with *checkpoint* they key
+        the journal opened there (*resume* keeps its matching
+        entries).  *faults* drives both the executor channels and the
+        journal's ``torn_write`` channel.  The report (a fresh
+        :class:`~repro.parallel.ExecutionReport` unless given) is
+        ``scheduler.report``.
+        """
+        if report is None:
+            report = ExecutionReport()
+        journal = None
+        if checkpoint is not None:
+            journal = ShardJournal(checkpoint, run_key(*run_parts),
+                                   faults=faults, report=report)
+            journal.open(resume=resume)
+        elif resume:
+            raise ValueError("resume requires a checkpoint directory")
+        return cls(workers=workers, faults=faults, journal=journal,
+                   report=report, deadline=deadline, seed=seed)
 
     # ------------------------------------------------------------ helpers
 
@@ -144,21 +172,6 @@ class ElasticScheduler:
             scope=(*self.faults.scope, "dispatch", round_number),
         )
 
-    def _group_key(self, member_keys):
-        """Content key of a packed shard (stable across runs that pack
-        identically, so resumes restore whole groups)."""
-        return "grp|" + "+".join(member_keys)
-
-    def _restore(self, group_key):
-        if self.journal is None:
-            return False, None
-        hit, value = self.journal.load(group_key)
-        if not hit:
-            return False, None
-        _telemetry_current().advisory_event("checkpoint.restore",
-                                            shard=group_key)
-        return True, absorb_value(value, group_key)
-
     def _log(self, kind, **record):
         if self.journal is not None:
             self.journal.log_reassignment(kind, **record)
@@ -170,9 +183,9 @@ class ElasticScheduler:
 
         *keys* name the items (unique, stable across runs — they key
         journal entries and the reassignment log).  *weights* are the
-        relative shard weights (defaults to 1.0 per item; pass
-        cost-model weights for heterogeneous work).  Item exceptions
-        propagate exactly as :func:`parallel_map`'s do.
+        relative shard weights under a deadline (defaults to 1.0 per
+        item).  Item exceptions propagate exactly as
+        :func:`parallel_map`'s do.
         """
         items = list(items)
         keys = [str(key) for key in keys]
@@ -191,80 +204,76 @@ class ElasticScheduler:
                 f"need one weight per item, got {len(weights)} for "
                 f"{len(items)} items"
             )
-        # Deterministic dispatch accounting: counted at map() entry as
-        # a pure function of the inputs, never of dispatch rounds or
-        # journal hits — so the metrics export survives resume and
-        # executor storms byte-identically.
-        tel = _telemetry_current()
-        tel.count("sched.maps")
-        tel.count("sched.items.mapped", len(items))
-        self.report.shards += 0  # parallel_map accounts per dispatch
+        # Under a deadline, pack into at most one shard per worker: the
+        # deadline runs from submission, so a shard left queued behind
+        # the pool would be stolen for no reason.  Without one, each
+        # item is its own shard, journaled under its own key.
+        packed = self.deadline is not None
         done = {}
         pending = list(range(len(items)))
         idle_rounds = 0
         while pending:
             round_number = self.dispatch_rounds
             self.dispatch_rounds += 1
-            groups = pack_by_weight([weights[i] for i in pending],
-                                    min(self.workers, len(pending)))
-            # Map positions within `pending` back to original indices.
-            groups = [tuple(pending[p] for p in group) for group in groups]
-            group_keys = [
-                self._group_key([keys[i] for i in group])
-                for group in groups
-            ]
-            # Serve journaled groups without dispatching them.
-            live_groups = []
-            live_keys = []
-            for group, group_key in zip(groups, group_keys):
-                hit, value = self._restore(group_key)
-                if hit:
-                    for index, item_value in zip(group, value):
-                        done[keys[index]] = item_value
-                    self.report.checkpoint_hits += len(group)
-                    self.report.record(
-                        "checkpoint",
-                        f"restored {len(group)} item(s) from "
-                        f"{group_key!r}",
-                    )
-                else:
-                    live_groups.append(group)
-                    live_keys.append(group_key)
-            if not live_groups:
-                pending = [
-                    i for i in pending if keys[i] not in done
-                ]
-                continue
-            # Write-ahead the assignment before acting on it.
-            self._log(
-                "assign", round=round_number,
-                shards=[
-                    [keys[i] for i in group] for group in live_groups
-                ],
-            )
-            payloads = [
-                (fn, [(keys[i], items[i]) for i in group])
-                for group in live_groups
-            ]
-
-            def journal_group(position, value, _keys=live_keys):
-                if self.journal is not None:
-                    self.journal.record(_keys[position], value)
-
-            partial = parallel_map(
-                _run_group, payloads, workers=self.workers,
-                deadline=self._round_deadline(round_number),
-                faults=self._round_faults(round_number),
-                report=self.report, on_result=journal_group,
-                shard_tracks=live_keys, reclaim=True,
-            )
+            # Escape hatch: when the storm keeps eating every dispatch,
+            # hand the remainder to the supervisor's forced path (pool
+            # rebuilds + in-process last resort, no injection) — it
+            # always terminates.
+            forced = idle_rounds >= MAX_IDLE_ROUNDS
+            if forced:
+                self.report.record(
+                    "sched-fallback",
+                    f"{len(pending)} item(s) after {idle_rounds} idle "
+                    f"round(s); forcing completion",
+                )
+                self._log("fallback", items=[keys[i] for i in pending])
+            if packed and not forced:
+                groups = pack_by_weight([weights[i] for i in pending],
+                                        min(self.workers, len(pending)))
+                # Map positions within `pending` back to item indices.
+                groups = [tuple(pending[p] for p in group)
+                          for group in groups]
+            else:
+                groups = [(index,) for index in pending]
+            if not forced:
+                # Write-ahead the assignment before acting on it.
+                self._log("assign", round=round_number,
+                          shards=[[keys[i] for i in group]
+                                  for group in groups])
+            if packed:
+                # A packed shard's content key is stable across runs
+                # that pack identically, so resumes restore whole groups.
+                shard_fn = _run_group
+                shards = [(fn, [items[i] for i in group])
+                          for group in groups]
+                shard_keys = ["grp|" + "+".join(keys[i] for i in group)
+                              for group in groups]
+            else:
+                shard_fn = fn
+                shards = [items[i] for (i,) in groups]
+                shard_keys = [keys[i] for (i,) in groups]
+            if forced:
+                values = checkpointed_map(
+                    shard_fn, shards, shard_keys, self.journal,
+                    workers=self.workers, report=self.report,
+                )
+                partial = PartialResult(values=dict(enumerate(values)),
+                                        stalled=(), crashed=())
+            else:
+                partial = checkpointed_map(
+                    shard_fn, shards, shard_keys, self.journal,
+                    reclaim=True, workers=self.workers, report=self.report,
+                    deadline=self._round_deadline(round_number),
+                    faults=self._round_faults(round_number),
+                )
             for position, value in partial.values.items():
-                for index, item_value in zip(live_groups[position], value):
-                    done[keys[index]] = item_value
+                group_values = value if packed else (value,)
+                for index, item_value in zip(groups[position], group_values):
+                    done[index] = item_value
             # Steals and reshards: journal the decision, then let the
             # next round's packing redistribute the reclaimed items.
             for position in partial.stalled:
-                stolen = [keys[i] for i in live_groups[position]]
+                stolen = [keys[i] for i in groups[position]]
                 self.report.steals += len(stolen)
                 self.report.record(
                     "steal",
@@ -273,7 +282,7 @@ class ElasticScheduler:
                 )
                 self._log("steal", round=round_number, items=stolen)
             for position in partial.crashed:
-                lost = [keys[i] for i in live_groups[position]]
+                lost = [keys[i] for i in groups[position]]
                 self.report.reshards += len(lost)
                 self.report.record(
                     "reshard",
@@ -282,34 +291,6 @@ class ElasticScheduler:
                 )
                 self._log("reshard", round=round_number, items=lost)
             before = len(pending)
-            pending = [i for i in pending if keys[i] not in done]
+            pending = [i for i in pending if i not in done]
             idle_rounds = idle_rounds + 1 if len(pending) == before else 0
-            if pending and idle_rounds >= MAX_IDLE_ROUNDS:
-                # Escape hatch: the storm keeps eating every dispatch.
-                # Hand the remainder to the supervisor's forced path
-                # (pool rebuilds + in-process last resort, no
-                # injection) — it always terminates.
-                self.report.record(
-                    "sched-fallback",
-                    f"{len(pending)} item(s) after {idle_rounds} idle "
-                    f"round(s); forcing completion",
-                )
-                self._log("fallback",
-                          items=[keys[i] for i in pending])
-                forced_keys = [self._group_key([keys[i]])
-                               for i in pending]
-
-                def journal_forced(position, value, _keys=forced_keys):
-                    if self.journal is not None:
-                        self.journal.record(_keys[position], value)
-
-                values = parallel_map(
-                    _run_group,
-                    [(fn, [(keys[i], items[i])]) for i in pending],
-                    workers=self.workers, report=self.report,
-                    on_result=journal_forced, shard_tracks=forced_keys,
-                )
-                for index, value in zip(pending, values):
-                    done[keys[index]] = value[0]
-                pending = []
-        return [done[key] for key in keys]
+        return [done[index] for index in range(len(items))]

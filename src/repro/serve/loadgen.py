@@ -14,7 +14,7 @@ of the fleet parameters, never of timing:
   fleet scale;
 * **real**: every device round runs the full Hang Doctor session
   pipeline
-  through :func:`repro.harness.exp_crowd._crowd_device_round` with
+  through :func:`repro.harness.exp_stream._crowd_device_round` with
   empty crowd knowledge — exactly the isolated-device rounds the
   batch ``crowd_sweep`` runs, preserving the deterministic per-device
   telemetry tracks.
@@ -58,7 +58,7 @@ def synthetic_fleet_batches(seed, devices, rounds, apps=_SYNTH_APPS):
 
     Pure function of its arguments — device d's batches are identical
     whatever the fleet size around it, mirroring the keyed-substream
-    discipline of :func:`repro.harness.exp_crowd.crowd_device_seed`.
+    discipline of :func:`repro.harness.exp_stream.crowd_device_seed`.
     Returns ``[(device_index, [batches...]), ...]``.
     """
     fleet = []
@@ -117,16 +117,16 @@ def real_fleet_batches(device_profile, seed, devices, rounds, apps,
                        actions, workers=1):
     """The real fleet's upload set: full Hang Doctor device rounds.
 
-    Runs :func:`repro.harness.exp_crowd._crowd_device_round` with
+    Runs :func:`repro.harness.exp_stream._crowd_device_round` with
     empty crowd knowledge — byte-for-byte the isolated-device rounds
     ``crowd_sweep`` uses as its baseline — so the live service's
     ingest of these batches is directly comparable to the batch
     sweep's aggregator over the same fleet.
     """
-    from repro.checkpoint import checkpointed_map
     from repro.core.blocking_db import BlockingApiDatabase
     from repro.crowd import CrowdKnowledge
-    from repro.harness.exp_crowd import _crowd_device_round
+    from repro.harness.exp_stream import _crowd_device_round
+    from repro.sched import ElasticScheduler
 
     db_names = tuple(BlockingApiDatabase.initial())
     payloads = [
@@ -141,8 +141,9 @@ def real_fleet_batches(device_profile, seed, devices, rounds, apps,
         for device_index in range(devices)
         for round_index in range(rounds)
     ]
-    results = checkpointed_map(_crowd_device_round, payloads, keys, None,
-                               workers=workers)
+    results = ElasticScheduler.for_sweep(workers=workers).map(
+        _crowd_device_round, payloads, keys,
+    )
     fleet = {device_index: [] for device_index in range(devices)}
     for result in results:
         fleet[result.device_index].extend(result.batches)

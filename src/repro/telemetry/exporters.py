@@ -14,7 +14,7 @@ Three deterministic-channel formats plus one advisory file:
 
 The first three are byte-identical across ``--workers`` counts,
 repeat runs, and checkpoint resume — that property is what the
-``trace-smoke`` CI job and ``tests/test_telemetry.py`` diff for.
+``sweep-smoke`` CI job and ``tests/test_telemetry.py`` diff for.
 """
 
 import json

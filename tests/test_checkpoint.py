@@ -15,7 +15,6 @@ import pytest
 from repro.checkpoint import JOURNAL_SCHEMA, ShardJournal, checkpointed_map, run_key
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_chaos import chaos_sweep
-from repro.harness.exp_fleet import table5
 from repro.parallel import ExecutionReport
 from repro.telemetry import current, export_jsonl, session
 
@@ -255,16 +254,3 @@ def test_chaos_byte_identical_under_injected_executor_faults(
     assert faulted.render() == chaos_reference.render()
     assert report.torn_writes == 2  # every checkpoint write died
     assert report.degraded  # the faults really fired
-
-
-def test_table5_checkpoint_resume_byte_identical(device, tmp_path):
-    reference = table5(device, seed=0, users=1, actions_per_user=10,
-                       corpus_size=22, workers=2)
-    first = table5(device, seed=0, users=1, actions_per_user=10,
-                   corpus_size=22, workers=2, checkpoint=tmp_path)
-    assert first.render() == reference.render()
-    resumed = table5(device, seed=0, users=1, actions_per_user=10,
-                     corpus_size=22, workers=2, checkpoint=tmp_path,
-                     resume=True)
-    assert resumed.render() == reference.render()
-    assert resumed.execution.checkpoint_hits > 0

@@ -392,32 +392,6 @@ def test_cli_crowd_quick_deterministic(capsys):
     assert "avoided" in first
 
 
-def test_table5_accepts_crowd_synced_database(device, k9):
-    """The fleet study runs with a crowd-published DB and knowledge."""
-    from repro.harness.exp_fleet import table5
-
-    engine = ExecutionEngine(device, seed=11)
-    cold = HangDoctor(k9, device, seed=11)
-    session = [action.name for action in k9.actions] * 6
-    run_detector(cold, engine.run_session(k9, session, gap_ms=1000.0))
-    aggregator = CrowdAggregator()
-    aggregator.ingest_report(cold.report, device_id=0, time_ms=0.0)
-    published = aggregator.publish_database()
-
-    plain = table5(device, seed=0, users=1, actions_per_user=10,
-                   corpus_size=22)
-    synced = table5(device, seed=0, users=1, actions_per_user=10,
-                    corpus_size=22,
-                    blocking_names=published.sorted_names(),
-                    crowd_kb=aggregator.knowledge())
-    # Pre-seeded fleet-published APIs are no longer "new" discoveries.
-    assert set(synced.new_blocking_apis).isdisjoint(
-        published.runtime_discoveries()
-    )
-    assert len(synced.new_blocking_apis) <= len(plain.new_blocking_apis)
-    assert synced.total_detected >= plain.total_detected
-
-
 # ---------------------------------------------------- atomic snapshots
 
 

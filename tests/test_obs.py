@@ -363,6 +363,25 @@ def test_write_obs_exports_is_byte_stable(tmp_path):
     assert {row["domain"] for row in rows} == {"round", "sim"}
 
 
+def test_write_obs_exports_ignores_absorption_order(tmp_path):
+    """Shards are absorbed in an order that follows the worker count;
+    float sums in the rollup must not, so exports fold session records
+    in trace order."""
+    durations = (1e16, 1.0, 1.0)  # summed in reverse, the 1.0s survive
+    with session() as tel:
+        for index, duration in enumerate(durations):
+            with tel.track(f"app/{index}"):
+                tel.record_span("core.action.process", 0.0, duration)
+    forward = tel.records
+    with session() as reversed_tel:
+        reversed_tel.records.extend(reversed(forward))
+    write_obs_exports(tmp_path / "a", session=tel)
+    write_obs_exports(tmp_path / "b", session=reversed_tel)
+    for name in OBS_FILENAMES:
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+
+
 def test_render_dash_sections(tmp_path):
     with session() as tel:
         tel.records.extend(_session_records())
