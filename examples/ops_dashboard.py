@@ -7,9 +7,9 @@ telemetry session, then walks every view `repro.obs` builds on it:
 1. folds the trace into fixed windows — sim-clock seconds, stream
    rounds — and prints a few rollup rows with their derived ratios
    (overhead %, ingest availability);
-2. evaluates the default SLOs (detection latency, precision floor,
-   overhead ceiling, ingest availability) and prints the error-budget
-   table plus any multi-window burn-rate alerts;
+2. evaluates the default SLOs (detection latency, overhead ceiling,
+   ingest availability) and prints the error-budget table plus any
+   multi-window burn-rate alerts;
 3. prints the head of the collapsed-stack flamegraph and the metrics
    registry rendered in Prometheus text format — the same bytes
    `repro serve` answers on `GET /metrics`;
@@ -40,15 +40,15 @@ SWEEP = dict(seed=7, rounds=4, fleet_size=3, churn_rate=0.2,
 
 
 def observed_run(workers):
-    """One telemetry-observed stream sweep; returns (session, result)."""
+    """One telemetry-observed stream sweep; returns its session."""
     with telemetry.session() as tel:
-        result = stream_sweep(LG_V10, workers=workers, **SWEEP)
-    return tel, result
+        stream_sweep(LG_V10, workers=workers, **SWEEP)
+    return tel
 
 
 def main():
-    tel, result = observed_run(workers=1)
-    rollup = rollup_from_session(tel).add_stream(result)
+    tel = observed_run(workers=1)
+    rollup = rollup_from_session(tel)
 
     print("1. Rollup windows (counters + derived ratios)")
     for row in rollup.rows()[:4]:
@@ -74,12 +74,11 @@ def main():
         print(f"   {line}")
 
     print("\n4. Exports, byte-identical across worker counts")
-    paths = write_obs_exports("out/ops_dashboard", session=tel,
-                              stream=result)
+    paths = write_obs_exports("out/ops_dashboard", session=tel)
     for path in paths:
         print(f"   wrote {path}")
-    again_tel, again_result = observed_run(workers=2)
-    again = rollup_from_session(again_tel).add_stream(again_result)
+    again_tel = observed_run(workers=2)
+    again = rollup_from_session(again_tel)
     assert again.to_jsonl() == rollup.to_jsonl()
     assert flamegraph_text(again_tel.records) \
         == flamegraph_text(tel.records)

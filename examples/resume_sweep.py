@@ -8,8 +8,10 @@ example runs the chaos sweep three ways and proves the recovery story:
 1. an uninterrupted reference run;
 2. a checkpointed run whose workers are *killed by an injected fault*
    (`worker_kill_rate`) while torn-write faults chew on the journal —
-   the supervisor rebuilds the pool, re-runs only the lost shards, and
-   the `ExecutionReport` says exactly what happened;
+   the pool runs each shard once, the elastic scheduler reshards only
+   the lost ones into its next dispatch round (running them
+   in-process if rounds stop making progress), and the
+   `ExecutionReport` says exactly what happened;
 3. an "interrupted" run that journals only part of the sweep before
    stopping, then a resumed run that restores the completed shards and
    computes the rest.

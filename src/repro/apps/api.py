@@ -243,11 +243,6 @@ class ApiSpec:
         mu = math.log(self.mean_ms) - 0.5 * self.sigma**2
         return float(rng.lognormal(mean=mu, sigma=self.sigma)), True
 
-    def moved_to_worker(self):
-        """Spec unchanged; movement to a worker is an Operation property."""
-        return self
-
-
 def hash_line(text):
     """Stable small hash for synthesizing source line numbers."""
     value = 0

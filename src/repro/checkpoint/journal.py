@@ -247,22 +247,19 @@ class ShardJournal:
         return [key for key in shard_keys if self.load(key)[0]]
 
 
-def checkpointed_map(fn, items, keys, journal=None, reclaim=False,
-                     **kwargs):
+def checkpointed_map(fn, items, keys, journal=None, **kwargs):
     """:func:`~repro.parallel.parallel_map` with a shard journal.
 
     *keys* names each item's journal entry (same length as *items*).
     Journaled shards are restored without re-running; the rest execute
     through the supervised pool and are journaled the moment each
     completes (via the executor's ``on_result`` hook), so an
-    interrupted call resumes from its last completed shard.  Results
-    come back in submission order either way, so output is
-    byte-identical with, without, or across interrupted journals.
-
-    With *reclaim* the pool runs one attempt and the call returns a
-    :class:`~repro.parallel.PartialResult` indexed like *items*:
-    restored and completed shards in ``values``, the rest ``stalled``
-    or ``crashed`` for the caller (the elastic scheduler) to repack.
+    interrupted call resumes from its last completed shard.  Returns
+    the executor's :class:`~repro.parallel.PartialResult` indexed like
+    *items*: restored and completed shards in ``values``, the rest
+    ``stalled`` or ``crashed`` for the caller (the elastic scheduler)
+    to repack.  Output is byte-identical with, without, or across
+    interrupted journals.
 
     With ``journal=None`` this is exactly ``parallel_map(fn, items,
     **kwargs)`` — except that the journal keys still name the shards'
@@ -279,8 +276,7 @@ def checkpointed_map(fn, items, keys, journal=None, reclaim=False,
     if len(set(keys)) != len(keys):
         raise ValueError("shard keys must be unique within one map")
     if journal is None:
-        return parallel_map(fn, items, shard_tracks=keys, reclaim=reclaim,
-                            **kwargs)
+        return parallel_map(fn, items, shard_tracks=keys, **kwargs)
     restored = {}
     pending = []
     for index, key in enumerate(keys):
@@ -308,11 +304,7 @@ def checkpointed_map(fn, items, keys, journal=None, reclaim=False,
 
     fresh = parallel_map(fn, [items[i] for i in pending],
                          on_result=journal_result,
-                         shard_tracks=[keys[i] for i in pending],
-                         reclaim=reclaim, **kwargs)
-    if not reclaim:
-        restored.update(zip(pending, fresh))
-        return [restored[index] for index in range(len(items))]
+                         shard_tracks=[keys[i] for i in pending], **kwargs)
     restored.update(
         (pending[position], value)
         for position, value in fresh.values.items()

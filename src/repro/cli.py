@@ -325,8 +325,8 @@ def cmd_serve_bench(args):
 def cmd_slo(args):
     """Evaluate SLO error budgets over a telemetry directory."""
     from repro.obs import (
+        Rollup,
         alerts_to_jsonl,
-        build_rollup,
         evaluate_slos,
         records_from_jsonl,
         render_slo_table,
@@ -338,8 +338,9 @@ def cmd_slo(args):
             f"no trace.jsonl in {args.directory}/ — run an experiment "
             f"with --telemetry {args.directory} first"
         )
-    rollup = build_rollup(records=records_from_jsonl(trace),
-                          window_ms=args.window_ms)
+    rollup = Rollup(window_ms=args.window_ms).add_records(
+        records_from_jsonl(trace)
+    )
     statuses, alerts = evaluate_slos(rollup)
     if args.json:
         print(json.dumps({"objectives": statuses, "alerts": alerts},
@@ -465,7 +466,7 @@ def build_parser():
                  "output is byte-identical to an uninterrupted run")
         command.add_argument(
             "--verbose", action="store_true",
-            help="print the execution report (retries, fallbacks, "
+            help="print the execution report (crashes, fallbacks, "
                  "deadline hits, checkpoint hits) after the result")
 
     def add_observability_flags(command, report_json=True):

@@ -43,7 +43,6 @@ from typing import Dict, Optional, Tuple
 from repro.base.frames import Frame
 from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.report import occurrence_bucket
 from repro.telemetry import current as telemetry
 
 
@@ -336,27 +335,6 @@ class CrowdAggregator:
         ]
         stats.sort(key=lambda s: (-s.hang_count, s.signature))
         return stats
-
-    def occurrence_distribution(self, app_name=None, action=None,
-                                operation=None):
-        """Fleet occurrence-factor histogram: decile bucket -> hangs.
-
-        Optionally filtered by app/action/operation.  Two signatures
-        differing only in their occurrence bucket are the same API
-        manifesting differently across the fleet; this view shows that
-        spread (the per-signature stats pin each manifestation).
-        """
-        histogram: Dict[int, int] = {}
-        for stat in self.bug_stats():
-            if app_name is not None and stat.app_name != app_name:
-                continue
-            if action is not None and stat.action != action:
-                continue
-            if operation is not None and stat.operation != operation:
-                continue
-            bucket = occurrence_bucket(stat.occurrence_high)
-            histogram[bucket] = histogram.get(bucket, 0) + stat.hang_count
-        return dict(sorted(histogram.items()))
 
     # -------------------------------------------------------- publishing
 

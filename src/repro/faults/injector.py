@@ -90,9 +90,9 @@ class FaultInjector:
 
         Sequential counters (:meth:`_trip`) are right for a single
         in-order decision stream; the executor channels instead key
-        each decision by (shard, attempt) so the verdict is identical
-        no matter which worker asks, in what order, or how often other
-        channels fired.  Rate 0 never draws.
+        each decision by shard so the verdict is identical no matter
+        which worker asks, in what order, or how often other channels
+        fired.  Rate 0 never draws.
         """
         if rate <= 0.0:
             return False
@@ -169,21 +169,22 @@ class FaultInjector:
 
     # ----------------------------------------------------------- executor
 
-    def worker_kill_fault(self, shard, attempt):
-        """True when the worker running (*shard*, *attempt*) dies.
+    def worker_kill_fault(self, shard):
+        """True when the worker running *shard* dies.
 
-        Keyed by (shard, attempt): the same run re-decides identically
-        for any worker count, and a retried shard draws a fresh
-        verdict instead of dying forever.
+        Keyed by shard: the same run re-decides identically for any
+        worker count.  The scheduler re-scopes its injector per
+        dispatch round, so a re-dispatched shard draws a fresh verdict
+        instead of dying forever.
         """
         return self._trip_keyed("worker-kill", self.plan.worker_kill_rate,
-                                (shard, attempt))
+                                (shard,))
 
-    def shard_stall_fault(self, shard, attempt):
-        """True when (*shard*, *attempt*) stalls for
-        ``plan.shard_stall_seconds`` before completing."""
+    def shard_stall_fault(self, shard):
+        """True when *shard* stalls for ``plan.shard_stall_seconds``
+        before completing."""
         return self._trip_keyed("shard-stall", self.plan.shard_stall_rate,
-                                (shard, attempt))
+                                (shard,))
 
     def device_churn_fault(self, kind, round_index, slot):
         """True when fleet-membership event (*kind*, *round*, *slot*)
@@ -214,10 +215,10 @@ class FaultInjector:
     def request_drop_fault(self, key, attempt):
         """True when request (*key*, *attempt*) vanishes in transit.
 
-        Keyed by (request key, attempt) — like the executor channels —
-        so the verdict is identical for any client concurrency or
-        request interleaving, and a retried request draws a fresh
-        verdict instead of being dropped forever.
+        Keyed by (request key, attempt), so the verdict is identical
+        for any client concurrency or request interleaving, and a
+        retried request draws a fresh verdict instead of being dropped
+        forever.
         """
         return self._trip_keyed("request-drop", self.plan.request_drop_rate,
                                 (key, attempt))

@@ -54,13 +54,13 @@ class FaultPlan:
     #: (queued behind a dead radio), after the round's database was
     #: already published.
     report_delay_rate: float = 0.0
-    #: Per (shard, pool attempt): the worker process executing the
+    #: Per (dispatch round, shard): the worker process executing the
     #: shard dies outright (OOM-killed, segfaulting native code) —
-    #: the pool breaks and the supervisor must re-run the shard.
+    #: the pool breaks and the scheduler must reshard the work.
     worker_kill_rate: float = 0.0
-    #: Per (shard, pool attempt): the shard stalls past any deadline
+    #: Per (dispatch round, shard): the shard stalls past any deadline
     #: (a livelocked worker); the supervisor must give up waiting and
-    #: re-run the shard in-process.
+    #: the scheduler must steal the work.
     shard_stall_rate: float = 0.0
     #: How long a stalled shard sleeps before completing anyway, in
     #: seconds.  Pick a value above the supervisor's deadline to force
@@ -114,8 +114,8 @@ class FaultPlan:
 
     #: Channels that stress the *harness* (the supervised executor and
     #: its checkpoint writes), not the monitored runtime.  Excluded
-    #: from :meth:`uniform`; hand them to the supervisor explicitly
-    #: (see :func:`repro.parallel.parallel_map`).
+    #: from :meth:`uniform`; hand them to the scheduler explicitly
+    #: (see :class:`repro.sched.ElasticScheduler`).
     EXECUTOR_CHANNELS = (
         "worker_kill_rate",
         "shard_stall_rate",
@@ -188,8 +188,8 @@ class FaultPlan:
         :attr:`EXECUTOR_CHANNELS`, :attr:`NETWORK_CHANNELS`, and
         :attr:`FLEET_CHANNELS`: the executor channels
         (``worker_kill``/``shard_stall``/``torn_write``) stress the
-        *harness* and belong in a plan handed to the supervisor (see
-        :func:`repro.parallel.parallel_map`), the network channels
+        *harness* and belong in a plan handed to the scheduler (see
+        :class:`repro.sched.ElasticScheduler`), the network channels
         (``request_drop``/``request_delay``/``connection_reset``/
         ``response_corrupt``) stress the *upload path* and belong in a
         plan handed to the serve client (see

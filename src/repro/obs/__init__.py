@@ -7,9 +7,9 @@ section of ``docs/observability.md``):
 * :mod:`repro.obs.prometheus` — Prometheus text exposition of any
   :class:`~repro.telemetry.MetricsRegistry`, served live by
   ``repro.serve`` as ``GET /metrics``;
-* :mod:`repro.obs.rollup` — fixed-window rollups of trace records and
-  harness results, with the registry's associative merge and hence
-  byte-identical ``rollups.jsonl`` across workers and resume;
+* :mod:`repro.obs.rollup` — fixed-window rollups of trace records,
+  with the registry's associative merge and hence byte-identical
+  ``rollups.jsonl`` across workers and resume;
 * :mod:`repro.obs.slo` — declarative objectives, error budgets, and
   multi-window burn-rate alerts on ``alerts.jsonl``;
 * :mod:`repro.obs.profile` — collapsed-stack flamegraph export and
@@ -21,11 +21,7 @@ nothing from the harness or serve layers — those call *into* it.
 """
 
 from repro.obs.dash import render_dash
-from repro.obs.exports import (
-    OBS_FILENAMES,
-    build_rollup,
-    write_obs_exports,
-)
+from repro.obs.exports import OBS_FILENAMES, write_obs_exports
 from repro.obs.profile import (
     collapse_stacks,
     flamegraph_text,
@@ -64,7 +60,6 @@ __all__ = [
     "TICKET_BURN",
     "alerts_to_jsonl",
     "bucket_quantile",
-    "build_rollup",
     "collapse_stacks",
     "evaluate_slos",
     "flamegraph_text",

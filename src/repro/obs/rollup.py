@@ -1,15 +1,14 @@
 """Windowed rollups: folding raw telemetry into operable time series.
 
-A :class:`Rollup` partitions observations into fixed windows, each
+A :class:`Rollup` partitions trace records into fixed windows, each
 backed by its own :class:`~repro.telemetry.MetricsRegistry`.  Windows
-live in three domains:
+live in two domains:
 
-* ``sim`` — fixed sim-clock windows (``floor(start_ms / window_ms)``)
-  fed from trace records: doctor/execute/collect span durations become
-  histograms, verdict events become counters;
+* ``sim`` — fixed sim-clock windows (``floor(start_ms / window_ms)``):
+  doctor/execute/collect span durations become histograms, verdict
+  events become counters;
 * ``round`` — one window per stream sync round, fed from
-  ``stream.round.stats`` events or :class:`StreamRound` objects;
-* ``sweep`` — one window per chaos/scenario sweep cell.
+  ``stream.round.stats`` events.
 
 Because each window is a registry, the whole rollup inherits the
 registry's associative + commutative merge: shard rollups fold into
@@ -183,57 +182,6 @@ class Rollup:
         for key in _ROUND_STATS:
             window.count(key, int(attrs.get(key, 0)))
 
-    def add_stream(self, result):
-        """Fold a :class:`~repro.harness.exp_stream.StreamResult` in."""
-        for entry in result.rounds:
-            self._add_round_stats({
-                "round": entry.round_index,
-                "fleet": len(entry.fleet),
-                "phase2_collections": entry.phase2_collections,
-                "kb_short_circuits": entry.kb_short_circuits,
-                "batches_ingested": entry.batches_ingested,
-                "batches_dropped": entry.batches_dropped,
-                "batches_duplicated": entry.batches_duplicated,
-                "batches_late": entry.batches_late,
-                "duplicates_ignored": entry.duplicates_ignored,
-            })
-        return self
-
-    def add_chaos(self, result):
-        """Fold a chaos sweep's cells into the ``sweep`` domain."""
-        for cell in result.cells:
-            window = self.window(
-                "sweep", f"chaos|{cell.rate:g}|{cell.app_name}"
-            )
-            window.count("cells")
-            window.count("tp", cell.tp)
-            window.count("fp", cell.fp)
-            window.count("fn", cell.fn)
-            window.count("bugs_detected", cell.bugs_detected)
-            window.count("counter_read_failures",
-                         cell.counter_read_failures)
-            window.count("trace_failures", cell.trace_failures)
-            window.count("faults_fired", cell.faults_fired)
-            window.gauge_set("overhead_percent", cell.overhead_percent)
-        return self
-
-    def add_scenarios(self, result):
-        """Fold scenario-sweep cells into the ``sweep`` domain."""
-        for cell in result.cells:
-            window = self.window(
-                "sweep", f"scenario|{cell.archetype}|{cell.index}"
-            )
-            window.count("cells")
-            window.count("tp", len(cell.detected_sites & cell.truth_sites))
-            window.count(
-                "fp",
-                len(cell.detected_sites - cell.truth_sites)
-                + cell.fp_actions,
-            )
-            window.count("fn", len(cell.truth_sites - cell.detected_sites))
-            window.count("hangs", cell.hangs)
-        return self
-
     # ------------------------------------------------------------- merge
 
     def state(self):
@@ -271,8 +219,8 @@ class Rollup:
 
         Each row carries the window's raw counters, per-histogram
         ``count``/``sum``/quantiles, and a ``derived`` block
-        (overhead %, ingest availability, precision/recall) computed
-        from integers at render time.  Rows sort by
+        (overhead %, ingest availability, hang rate) computed from
+        integers at render time.  Rows sort by
         ``(domain, index)``.
         """
         rows = []
@@ -295,12 +243,12 @@ class Rollup:
                 "index": index,
                 "counters": counters,
                 "histograms": histograms,
-                "derived": self._derived(registry, counters, state),
+                "derived": self._derived(registry, counters),
             }
             rows.append(row)
         return rows
 
-    def _derived(self, registry, counters, state):
+    def _derived(self, registry, counters):
         derived = {}
         exec_total, exec_sum = registry.histogram_summary("exec_ms")
         collect_total, collect_sum = registry.histogram_summary(
@@ -316,21 +264,10 @@ class Rollup:
             offered = ingested + dropped
             if offered:
                 derived["availability"] = _round9(ingested / offered)
-        tp = counters.get("tp")
-        if tp is not None:
-            fp = counters.get("fp", 0)
-            fn = counters.get("fn", 0)
-            if tp + fp:
-                derived["precision"] = _round9(tp / (tp + fp))
-            if tp + fn:
-                derived["recall"] = _round9(tp / (tp + fn))
         if counters.get("actions"):
             derived["hang_rate"] = _round9(
                 counters.get("hangs", 0) / counters["actions"]
             )
-        overhead_gauge = state["gauges"].get("overhead_percent")
-        if overhead_gauge is not None:
-            derived["overhead_pct"] = _round9(overhead_gauge)
         return dict(sorted(derived.items()))
 
     def to_jsonl(self):

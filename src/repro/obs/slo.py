@@ -8,7 +8,7 @@ domain, and a rule for classifying each window's events as *good* or
   threshold (resolved against the fixed bucket bounds, so the split
   is exact and integer);
 * ``ratio`` — good/bad are two named counters (e.g. ingested vs
-  dropped batches, true vs false positives);
+  dropped batches);
 * ``window`` — each window is itself one event, good when a derived
   statistic stays under a ceiling (e.g. overhead %).
 
@@ -50,14 +50,6 @@ DEFAULT_OBJECTIVES = (
         "histogram": "doctor_ms",
         "threshold_ms": 200.0,
         "target": 0.50,
-    },
-    {
-        "name": "precision-floor",
-        "kind": "ratio",
-        "domain": "sweep",
-        "good": "tp",
-        "bad": "fp",
-        "target": 0.80,
     },
     {
         "name": "overhead-ceiling",

@@ -8,15 +8,16 @@ deployment is a pure function of (device, root seed, app), so shards
 can run on any worker in any order and merge back into the exact
 result a serial run produces.
 
-:func:`parallel_map` is the one primitive: an ordered map over work
-items that shards across a supervised
-:class:`concurrent.futures.ProcessPoolExecutor` — per-shard deadlines,
-bounded retry after worker crashes, in-process re-runs as the last
-resort — and degrades gracefully to in-process execution when
-``workers=1``, when the work is too small to shard, or when the
-payload cannot cross a process boundary (non-picklable configs).
-Every degradation is accounted in an :class:`ExecutionReport` instead
-of happening silently.
+:func:`parallel_map` is the one primitive: a map over work items
+that runs each shard once on a supervised
+:class:`concurrent.futures.ProcessPoolExecutor` with per-shard
+deadlines, and returns a :class:`PartialResult` naming the shards that
+stalled or died with the pool, for the elastic scheduler
+(:mod:`repro.sched`) to re-dispatch.  It runs in-process, completing
+every shard, when ``workers=1``, when the work is too small to shard,
+or when the payload cannot cross a process boundary (non-picklable
+configs).  Every degradation is accounted in an
+:class:`ExecutionReport` instead of happening silently.
 """
 
 from repro.parallel.executor import (

@@ -1,31 +1,36 @@
-"""The supervised worker-pool primitive behind every ``--workers`` flag.
+"""The supervised worker-pool primitive under the elastic scheduler.
 
 Experiments submit *shards* — small picklable descriptions of a slice
 of work — to :func:`parallel_map` together with a module-level shard
-function.  Results come back in submission order, so callers can merge
-them deterministically regardless of which worker finished first.
+function.  Results come back indexed by submission position, so
+callers can merge them deterministically regardless of which worker
+finished first.
 
-Supervision policy: correctness never depends on the pool, and no pool
+Supervision policy: the pool runs each shard once, and no pool
 failure is silent.  The supervisor runs each shard as its own future
 and watches three failure classes:
 
 * **Worker crashes** (a dead process breaks the whole
   :class:`~concurrent.futures.process.BrokenProcessPool`): finished
-  results are kept, the pool is rebuilt after an exponential backoff,
-  and only the unfinished shards are re-submitted — up to *retries*
-  times, after which the stragglers run in-process.
-* **Deadlines** (*deadline* seconds of waiting per shard): a shard
-  that stalls past its deadline is abandoned to the pool and re-run
-  in-process, so one livelocked worker cannot wedge the sweep.
+  results are kept, and the shards that died with the pool come back
+  *crashed*.
+* **Deadlines** (*deadline* seconds since a shard's submission): a
+  shard that stalls past its deadline is abandoned to the pool and
+  comes back *stalled*, so one livelocked worker cannot wedge the
+  sweep.
 * **Pool unavailability** (pickling, subprocess limits, sandboxes):
-  the whole call degrades to the in-process loop.
+  the whole call degrades to the in-process loop, which completes
+  every shard.
 
-Every one of those decisions is recorded in an
-:class:`ExecutionReport` — retries, crashes, deadline hits, fallbacks
-— which experiments surface through their results (``--verbose`` on
-the CLI) instead of the old silent downgrade.  Because shard functions
-are pure, a shard re-run in-process or on a fresh pool returns the
-byte-identical result, so supervision never changes experiment output.
+What happens to crashed and stalled shards is not decided here: the
+:class:`PartialResult` hands them to the elastic scheduler
+(:mod:`repro.sched`), which repacks them into its next dispatch round
+and, when rounds stop making progress, runs the rest in-process.
+Every supervision event is recorded in an :class:`ExecutionReport`,
+which experiments surface through their results (``--verbose`` on the
+CLI).  Because shard functions are pure, a shard re-run on a fresh
+pool or in-process returns the byte-identical result, so supervision
+never changes experiment output.
 
 Exceptions raised *by the shard function itself* are real errors and
 always propagate: workers catch them and ship them back tagged in a
@@ -37,9 +42,10 @@ is, by construction, infrastructure.
 
 A :class:`~repro.faults.FaultInjector` whose plan enables the
 ``worker_kill`` / ``shard_stall`` channels exercises the supervisor
-deterministically: kill and stall verdicts are keyed by
-(shard, attempt), so they reproduce for any worker count, and the
-in-process last resort never injects — the escape hatch stays safe.
+deterministically: kill and stall verdicts are keyed by shard, so
+they reproduce for any worker count, and they only fire inside a real
+worker process.  The scheduler re-scopes the injector per dispatch
+round, so a re-dispatched shard draws a fresh verdict.
 """
 
 import multiprocessing
@@ -77,11 +83,9 @@ class ExecutionReport:
     pool_attempts: int = 0
     #: Pool breakages observed (each one means >= 1 worker died).
     worker_crashes: int = 0
-    #: Shards re-submitted to a rebuilt pool after a crash.
-    shard_retries: int = 0
     #: Shards whose result wait exceeded the deadline.
     deadline_hits: int = 0
-    #: Shards re-run in-process as the last resort.
+    #: Shards the scheduler ran in-process as its last resort.
     in_process_shards: int = 0
     #: Whole calls that wanted a pool but had to run serially.
     serial_fallbacks: int = 0
@@ -91,7 +95,7 @@ class ExecutionReport:
     #: discarded, shard re-runs on resume).
     torn_writes: int = 0
     #: Work items stolen from stragglers by the elastic scheduler
-    #: (reclaimed past a seeded deadline and repacked onto the rest of
+    #: (past a seeded deadline, then repacked onto the rest of
     #: the pool — see :mod:`repro.sched`).
     steals: int = 0
     #: Work items dynamically resharded after a worker death (their
@@ -125,7 +129,6 @@ class ExecutionReport:
             "shards": self.shards,
             "pool_attempts": self.pool_attempts,
             "worker_crashes": self.worker_crashes,
-            "shard_retries": self.shard_retries,
             "deadline_hits": self.deadline_hits,
             "in_process_shards": self.in_process_shards,
             "serial_fallbacks": self.serial_fallbacks,
@@ -152,7 +155,6 @@ class ExecutionReport:
         self.shards += other.shards
         self.pool_attempts += other.pool_attempts
         self.worker_crashes += other.worker_crashes
-        self.shard_retries += other.shard_retries
         self.deadline_hits += other.deadline_hits
         self.in_process_shards += other.in_process_shards
         self.serial_fallbacks += other.serial_fallbacks
@@ -173,7 +175,6 @@ class ExecutionReport:
         ]
         counters = (
             ("worker crashes", self.worker_crashes),
-            ("shard retries", self.shard_retries),
             ("deadline hits", self.deadline_hits),
             ("in-process re-runs", self.in_process_shards),
             ("serial fallbacks", self.serial_fallbacks),
@@ -193,15 +194,12 @@ class ExecutionReport:
 
 @dataclass(frozen=True)
 class PartialResult:
-    """Outcome of a reclaim-mode :func:`parallel_map` call.
+    """Outcome of a :func:`parallel_map` call.
 
-    Reclaim mode (``reclaim=True``) hands scheduling policy back to
-    the caller: instead of forcing every shard to completion (pool
-    rebuilds, in-process last resort), the supervisor runs one pool
-    attempt and *returns* whatever finished, plus the indices it could
-    not finish — so an elastic scheduler (:mod:`repro.sched`) can
-    split, repack, and redistribute the unfinished work instead of
-    serializing it.
+    The supervisor runs one pool attempt and *returns* whatever
+    finished, plus the indices it could not finish — so the elastic
+    scheduler (:mod:`repro.sched`) can split, repack, and redistribute
+    the unfinished work instead of serializing it.
     """
 
     #: Completed shard results, by submission index.
@@ -306,39 +304,19 @@ def _guarded(fn, item, collect=False):
         return _ShardFailure(error)
 
 
-def _supervised(fn, item, shard, attempt, faults, collect=False):
+def _supervised(fn, item, shard, faults, collect=False):
     """Worker-side shard entry: inject executor faults, then run.
 
-    Kill/stall verdicts are keyed by (shard, attempt) so they are
-    identical for any worker count and completion order; the kill only
-    fires inside a real worker process — the in-process last resort
-    must never take the parent down with it.
+    Kill/stall verdicts are keyed by shard so they are identical for
+    any worker count and completion order; the kill only fires inside
+    a real worker process, never in the parent.
     """
     if faults is not None and multiprocessing.parent_process() is not None:
-        if faults.worker_kill_fault(shard, attempt):
+        if faults.worker_kill_fault(shard):
             os._exit(KILLED_EXIT_CODE)
-        if faults.shard_stall_fault(shard, attempt):
+        if faults.shard_stall_fault(shard):
             time.sleep(faults.plan.shard_stall_seconds)
     return _guarded(fn, item, collect)
-
-
-def _serial(fn, items, on_result=None, collect=False):
-    """The in-process reference loop (also the correctness oracle)."""
-    results = []
-    for index, item in enumerate(items):
-        value = _guarded(fn, item, collect)
-        if on_result is not None and not isinstance(value, _ShardFailure):
-            on_result(index, value)
-        results.append(value)
-    return results
-
-
-def _raise_first_failure(results):
-    """Re-raise the earliest shard error in submission order."""
-    for result in results:
-        if isinstance(result, _ShardFailure):
-            raise result.error
-    return results
 
 
 def _collect(results, index, value, on_result):
@@ -348,15 +326,19 @@ def _collect(results, index, value, on_result):
         on_result(index, value)
 
 
+def _serial(fn, items, results, on_result=None, collect=False):
+    """The in-process loop: completes every shard, in order."""
+    for index, item in enumerate(items):
+        _collect(results, index, _guarded(fn, item, collect), on_result)
+
+
 def _drain(futures, results, deadline, report, on_result,
            submitted=None):
     """Collect finished futures; classify timeouts and pool breakage.
 
     Returns ``(stalled, crashed)`` index lists: *stalled* shards blew
-    their deadline (they re-run in-process — a stalled shard would
-    stall again on a fresh pool, its verdict being a pure function of
-    the shard), *crashed* shards died with the pool (they retry on a
-    rebuilt one).
+    their deadline, *crashed* shards died with the pool.  Both go back
+    to the caller unfinished.
 
     *submitted* maps each index to its ``time.monotonic()`` submission
     timestamp.  Each shard's deadline is measured from *that* moment,
@@ -402,24 +384,26 @@ def _drain(futures, results, deadline, report, on_result,
     return stalled, crashed
 
 
-def parallel_map(fn, items, workers=1, chunksize=1, deadline=None,
-                 retries=2, backoff=0.05, faults=None, report=None,
-                 on_result=None, shard_tracks=None, reclaim=False):
-    """Ordered ``[fn(item) for item in items]`` over a supervised pool.
+def parallel_map(fn, items, workers=1, deadline=None, faults=None,
+                 report=None, on_result=None, shard_tracks=None):
+    """Run ``fn(item)`` once per item over a supervised pool.
+
+    Returns a :class:`PartialResult` indexed like *items*: the values
+    of the shards that finished, plus the indices that stalled past
+    their deadline or died with the pool.  The pool runs one attempt;
+    unfinished shards go back to the caller — the elastic scheduler —
+    to re-dispatch.  The serial paths (one worker, one item,
+    unpicklable payloads, no pool) complete every shard.
 
     *fn* must be a module-level callable for process execution; the
-    in-process paths have no such restriction.  Worker exceptions
-    propagate to the caller (earliest failing shard first);
+    in-process paths have no such restriction.  Shard-function
+    exceptions propagate to the caller (earliest failing shard first);
     infrastructure failures are supervised per the module docstring
     and accounted in *report* (an :class:`ExecutionReport`).
-
-    Parameters beyond the classic four: *deadline* is the per-shard
-    result wait in seconds (``None`` = wait forever); *retries* bounds
-    pool rebuilds after crashes; *backoff* seeds the exponential sleep
-    between rebuilds; *faults* is a :class:`~repro.faults.FaultInjector`
-    whose ``worker_kill``/``shard_stall`` channels exercise the
-    supervisor.  *chunksize* is accepted for backward compatibility
-    and ignored — supervision needs per-shard futures.
+    *deadline* is the per-shard result wait in seconds, measured from
+    submission (``None`` = wait forever); *faults* is a
+    :class:`~repro.faults.FaultInjector` whose
+    ``worker_kill``/``shard_stall`` channels exercise the supervisor.
 
     *on_result(index, value)* fires the first time each shard's result
     is collected, in whatever order shards actually complete — the
@@ -435,17 +419,7 @@ def parallel_map(fn, items, workers=1, chunksize=1, deadline=None,
     ``shard/m<map>.<index>`` names are generated.  Shard code that
     sets its own semantic track scopes overrides the default either
     way.
-
-    With *reclaim* the call runs at most one pool attempt and returns
-    a :class:`PartialResult` instead of a list: stalled and crashed
-    shards come back *unfinished* (no pool rebuild, no in-process
-    rerun) so the caller — the elastic scheduler — can repack them.
-    The serial paths (one worker, unpicklable payloads, no pool)
-    still complete everything; only genuinely supervised execution can
-    leave work unfinished.  Shard-function exceptions raise either
-    way.
     """
-    del chunksize  # per-shard submission supersedes chunked map
     items = list(items)
     workers = resolve_workers(workers)
     if report is None:
@@ -467,117 +441,73 @@ def parallel_map(fn, items, workers=1, chunksize=1, deadline=None,
                 f"shard/m{map_seq}.{index}" for index in range(len(items))
             ]
 
-    def finish(values):
-        # Absorb shard telemetry carriers (submission order, so the
-        # per-track renumbering is deterministic) and unwrap values;
-        # failures stay sentinels for _raise_first_failure.
-        if collect:
-            values = [
-                value if isinstance(value, _ShardFailure)
-                else absorb_value(value, tracks[index])
-                for index, value in enumerate(values)
-            ]
-        return _raise_first_failure(values)
-
-    def finish_partial(values, stalled, crashed):
-        # Reclaim-mode epilogue: absorb and unwrap only what finished
-        # (ascending index, so per-track renumbering stays
-        # deterministic), raise the earliest completed failure, and
-        # hand the unfinished indices back to the caller.
-        if collect:
-            values = {
-                index: (value if isinstance(value, _ShardFailure)
-                        else absorb_value(value, tracks[index]))
-                for index, value in sorted(values.items())
-            }
-        _raise_first_failure([values[i] for i in sorted(values)])
-        return PartialResult(values=dict(values),
-                             stalled=tuple(sorted(stalled)),
-                             crashed=tuple(sorted(crashed)))
-
+    results = {}
+    stalled, crashed = [], []
     if workers <= 1 or len(items) <= 1:
-        values = _serial(fn, items, on_result, collect)
-        if reclaim:
-            return finish_partial(dict(enumerate(values)), (), ())
-        return finish(values)
-    if not _picklable((fn, items, faults)):
+        _serial(fn, items, results, on_result, collect)
+    elif not _picklable((fn, items, faults)):
         report.serial_fallbacks += 1
         report.record("serial-fallback", "payload not picklable")
-        values = _serial(fn, items, on_result, collect)
-        if reclaim:
-            return finish_partial(dict(enumerate(values)), (), ())
-        return finish(values)
+        _serial(fn, items, results, on_result, collect)
+    else:
+        stalled, crashed = _pooled(fn, items, workers, deadline, faults,
+                                   report, results, on_result, collect)
+    # Absorb shard telemetry carriers in ascending index, so the
+    # per-track renumbering is deterministic, and unwrap the values;
+    # failures stay sentinels until the earliest one is re-raised.
+    values = {
+        index: (absorb_value(value, tracks[index])
+                if collect and not isinstance(value, _ShardFailure)
+                else value)
+        for index, value in sorted(results.items())
+    }
+    for value in values.values():
+        if isinstance(value, _ShardFailure):
+            raise value.error
+    return PartialResult(values=values, stalled=tuple(sorted(stalled)),
+                         crashed=tuple(sorted(crashed)))
 
-    results = {}
-    pending = list(range(len(items)))
-    stalled = []
-    attempt = 0
-    while pending and attempt <= retries:
-        if attempt:
-            report.shard_retries += len(pending)
-            time.sleep(backoff * (2 ** (attempt - 1)))
-        report.pool_attempts += 1
+
+def _pooled(fn, items, workers, deadline, faults, report, results,
+            on_result, collect):
+    """One pool attempt over every item; returns ``(stalled, crashed)``.
+
+    Falls back to the in-process loop (completing everything) when the
+    pool cannot start.
+    """
+    report.pool_attempts += 1
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(items)))
+    except (OSError, PermissionError, RuntimeError) as error:
+        # The pool never came up (no fork support, subprocess limits,
+        # sandboxing) — nothing was partially executed, so the serial
+        # loop is the clean degradation.
+        report.serial_fallbacks += 1
+        report.record(
+            "serial-fallback",
+            f"pool unavailable ({type(error).__name__}: {error})",
+        )
+        _serial(fn, items, results, on_result, collect)
+        return [], []
+    futures = {}
+    submitted = {}
+    unsubmitted = []
+    for index, item in enumerate(items):
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            )
-        except (OSError, PermissionError, RuntimeError) as error:
-            # The pool never came up (no fork support, subprocess
-            # limits, sandboxing) — nothing was partially executed, so
-            # the serial loop is the clean degradation.
-            report.serial_fallbacks += 1
-            report.record(
-                "serial-fallback",
-                f"pool unavailable ({type(error).__name__}: {error})",
-            )
-            for index in pending:
-                _collect(results, index,
-                         _guarded(fn, items[index], collect), on_result)
-            pending = []
+            futures[index] = pool.submit(_supervised, fn, item, index,
+                                         faults, collect)
+            submitted[index] = time.monotonic()
+        except BrokenProcessPool:
+            # A worker died while we were still submitting; the rest
+            # of the batch goes back to the caller with the crashed.
+            unsubmitted = list(range(index, len(items)))
+            report.worker_crashes += 1
+            report.record("worker-crash", "pool broke during submission")
             break
-        futures = {}
-        submitted = {}
-        unsubmitted = []
-        for index in pending:
-            try:
-                futures[index] = pool.submit(_supervised, fn, items[index],
-                                             index, attempt, faults,
-                                             collect)
-                submitted[index] = time.monotonic()
-            except BrokenProcessPool:
-                # A worker died while we were still submitting; the
-                # rest of this batch retries on the rebuilt pool.
-                unsubmitted = [i for i in pending if i not in futures]
-                report.worker_crashes += 1
-                report.record("worker-crash", "pool broke during submission")
-                break
-        timed_out, crashed = _drain(futures, results, deadline, report,
-                                    on_result, submitted)
-        stalled.extend(timed_out)
-        pending = crashed + unsubmitted
-        # Never block on a stalled worker: abandoned shards keep their
-        # process busy until the sleep/livelock ends, and the
-        # supervisor has already moved on.
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-        if reclaim:
-            # The scheduler wants the unfinished work back, not a
-            # rebuilt pool: one attempt, then report what's left.
-            return finish_partial(results, stalled, pending)
-        attempt += 1
-
-    if reclaim:
-        # Reached only through the pool-unavailable serial fallback,
-        # which completed everything in-process.
-        return finish_partial(results, stalled, pending)
-    for index in pending + stalled:
-        # Last resort: the pool kept dying or the shard kept stalling.
-        # Shard functions are pure, so the in-process run returns the
-        # byte-identical result; executor faults are not injected here
-        # (the escape hatch must always terminate).
-        if index in pending:
-            report.record("in-process", f"shard {index} after "
-                          f"{retries + 1} pool attempt(s)")
-        report.in_process_shards += 1
-        _collect(results, index, _guarded(fn, items[index], collect),
-                 on_result)
-    return finish([results[i] for i in range(len(items))])
+    stalled, crashed = _drain(futures, results, deadline, report,
+                              on_result, submitted)
+    # Never block on a stalled worker: abandoned shards keep their
+    # process busy until the sleep/livelock ends, and the supervisor
+    # has already moved on.
+    pool.shutdown(wait=not stalled, cancel_futures=True)
+    return stalled, crashed + unsubmitted

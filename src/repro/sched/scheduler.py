@@ -1,33 +1,33 @@
 """The elastic shard scheduler between harnesses and the executor.
 
-Static sharding (``chunk_indices`` + one :func:`parallel_map` call)
-assigns every shard once and forces each to completion where it
-landed.  A long-lived fleet run needs more: shards that cost different
-amounts must pack by *weight*, a straggler must not hold the round
-hostage (its work is *stolen* past a seeded deadline and repacked
-onto the rest of the pool), and a worker death must *reshard* the
-in-flight work instead of serializing it in the parent.
+One :func:`parallel_map` call runs each shard once and hands back
+whatever it could not finish.  A long-lived fleet run needs more:
+shards that cost different amounts must pack by *weight*, a straggler
+must not hold the round hostage (its work is *stolen* past a seeded
+deadline and repacked onto the rest of the pool), and a worker death
+must *reshard* the in-flight work instead of serializing it in the
+parent.
 
-:class:`ElasticScheduler` implements that loop on top of the
-supervised executor's reclaim mode, and every sweep dispatches through
-it (:meth:`ElasticScheduler.for_sweep` opens the sweep's journal and
-report):
+:class:`ElasticScheduler` implements that loop, and it is the one
+place that decides what happens to a shard the pool did not finish.
+Every sweep dispatches through it (:meth:`ElasticScheduler.for_sweep`
+opens the sweep's journal and report):
 
 1. Under a straggler deadline, pack pending items into weighted shards
    (deterministic LPT, see :func:`pack_by_weight`) — one shard per
    live worker slot.  Without one, each item is its own shard.
 2. Write-ahead the assignment to the checkpoint journal's
    reassignment log, then dispatch the round through
-   :func:`~repro.checkpoint.checkpointed_map` with ``reclaim=True``:
-   journaled shards restore, the rest run and are journaled as they
-   complete.
-3. Reclaim whatever stalled (a *steal*: the items repack next round,
-   accounted in ``ExecutionReport.steals``) or died with a worker (a
-   *reshard*, accounted in ``reshards``) — each decision journaled
-   *before* it is acted on.
-4. Repeat until done; if two consecutive rounds make no progress, a
-   final non-reclaim dispatch (the supervisor's own rebuild/in-process
-   machinery, faults disabled) guarantees termination.
+   :func:`~repro.checkpoint.checkpointed_map`: journaled shards
+   restore, the rest run once and are journaled as they complete.
+3. Take back whatever stalled (a *steal*: the items repack next
+   round, accounted in ``ExecutionReport.steals``) or died with a
+   worker (a *reshard*, accounted in ``reshards``) — each decision
+   journaled *before* it is acted on.
+4. Repeat until done; if two consecutive rounds make no progress,
+   log a ``fallback`` and run the remaining shards in-process
+   (journaled, never injected, accounted in ``in_process_shards``),
+   which always terminates.
 
 The determinism contract, inherited from the executor and defended by
 ``tests/test_sched.py``: every work item is a pure function of its
@@ -44,14 +44,14 @@ import heapq
 from repro.base.rng import stream
 from repro.checkpoint.journal import ShardJournal, checkpointed_map, run_key
 from repro.faults import FaultInjector
-from repro.parallel import ExecutionReport, PartialResult, resolve_workers
+from repro.parallel import ExecutionReport, resolve_workers
 
 #: Seeded jitter band on the per-round steal deadline: each round's
 #: deadline is the base deadline times 1 + U[0, DEADLINE_JITTER).
 DEADLINE_JITTER = 0.5
 
 #: Consecutive zero-progress dispatch rounds tolerated before the
-#: scheduler falls back to the supervisor's forced-completion path.
+#: scheduler runs the remaining shards in-process.
 MAX_IDLE_ROUNDS = 2
 
 
@@ -216,8 +216,7 @@ class ElasticScheduler:
             round_number = self.dispatch_rounds
             self.dispatch_rounds += 1
             # Escape hatch: when the storm keeps eating every dispatch,
-            # hand the remainder to the supervisor's forced path (pool
-            # rebuilds + in-process last resort, no injection) — it
+            # run the remainder in-process (no pool, no injection) — it
             # always terminates.
             forced = idle_rounds >= MAX_IDLE_ROUNDS
             if forced:
@@ -253,16 +252,19 @@ class ElasticScheduler:
                 shards = [items[i] for (i,) in groups]
                 shard_keys = [keys[i] for (i,) in groups]
             if forced:
-                values = checkpointed_map(
+                # Shards restored from the journal do not run at all.
+                hits_before = self.report.checkpoint_hits
+                partial = checkpointed_map(
                     shard_fn, shards, shard_keys, self.journal,
-                    workers=self.workers, report=self.report,
+                    workers=1, report=self.report,
                 )
-                partial = PartialResult(values=dict(enumerate(values)),
-                                        stalled=(), crashed=())
+                self.report.in_process_shards += len(shards) - (
+                    self.report.checkpoint_hits - hits_before
+                )
             else:
                 partial = checkpointed_map(
                     shard_fn, shards, shard_keys, self.journal,
-                    reclaim=True, workers=self.workers, report=self.report,
+                    workers=self.workers, report=self.report,
                     deadline=self._round_deadline(round_number),
                     faults=self._round_faults(round_number),
                 )
@@ -271,13 +273,13 @@ class ElasticScheduler:
                 for index, item_value in zip(groups[position], group_values):
                     done[index] = item_value
             # Steals and reshards: journal the decision, then let the
-            # next round's packing redistribute the reclaimed items.
+            # next round's packing redistribute the returned items.
             for position in partial.stalled:
                 stolen = [keys[i] for i in groups[position]]
                 self.report.steals += len(stolen)
                 self.report.record(
                     "steal",
-                    f"round {round_number}: reclaimed {len(stolen)} "
+                    f"round {round_number}: stole {len(stolen)} "
                     f"item(s) from straggler shard {position}",
                 )
                 self._log("steal", round=round_number, items=stolen)

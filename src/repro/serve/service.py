@@ -219,10 +219,6 @@ class IngestService:
             await self._server.wait_closed()
         self.state.close()
 
-    async def serve_forever(self):
-        """Block until the server socket closes."""
-        await self._server.wait_closed()
-
     @property
     def address(self):
         """The bound ``host:port``."""

@@ -702,8 +702,8 @@ class CounterModel:
 
         # Single extraction pass: clamp CPU to wall and compute the
         # poisson rate blocks in one loop over the rows (the switch
-        # rates are scheduler.batch_switch_rates inlined — the single
-        # pass avoids materialising thread/override columns).
+        # rates are scheduler.segment_switches' rates, batched — the
+        # single pass avoids materialising thread/override columns).
         quantum = device.sched_quantum_ms
         vsync = device.vsync_period_ms
         io_chunk = device.io_wait_chunk_ms

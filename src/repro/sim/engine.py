@@ -265,7 +265,7 @@ class ExecutionEngine:
             self._plans[key] = plan
         return plan
 
-    def run_action(self, app, action, start_ms=0.0, rng=None, looper=None):
+    def run_action(self, app, action, start_ms=0.0, looper=None):
         """Execute *action* of *app* starting at *start_ms*.
 
         A caller may supply its own *looper* (e.g. one with response-
@@ -283,21 +283,19 @@ class ExecutionEngine:
             # segment_batch (and disappears when no PMU event needs
             # it), and the action stream comes from one re-keyed
             # generator instead of a fresh SeedSequence per action.
-            if rng is None:
-                key = (app.name, action.name)
-                prefix = self._reseed_prefixes.get(key)
-                if prefix is None:
-                    prefix = self._reseed_prefixes[key] = digest_prefix(
-                        self.seed, app.name, action.name
-                    )
-                rng = reseed_prefixed(
-                    self._lazy_rng, prefix, self._execution_index
+            key = (app.name, action.name)
+            prefix = self._reseed_prefixes.get(key)
+            if prefix is None:
+                prefix = self._reseed_prefixes[key] = digest_prefix(
+                    self.seed, app.name, action.name
                 )
+            rng = reseed_prefixed(
+                self._lazy_rng, prefix, self._execution_index
+            )
             return self._run_action_columnar(
                 app, action, plan, start_ms, rng, looper
             )
-        if rng is None:
-            rng = stream(self.seed, app.name, action.name, self._execution_index)
+        rng = stream(self.seed, app.name, action.name, self._execution_index)
         # The DVFS governor holds one frequency across a short action.
         self._dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
         timeline = Timeline()

@@ -59,29 +59,11 @@ def segment_faults(kind, pages, rng):
     return FaultCounts(minor=total - major, major=major)
 
 
-def batch_faults(kinds, pages, rng):
-    """Pooled-draw :func:`segment_faults` over a whole batch.
-
-    *pages* and *kinds* are parallel lists.  Returns ``(minor, major)``
-    lists of ints.
-
-    The draw layout differs from the scalar path (pooled poisson
-    vector, then one beta per kind-with-major-faults segment regardless
-    of its fault total, then a pooled binomial) — batch callers are
-    lazy-mode only.
-    """
-    totals = rng.poisson([p if p > 0 else 0 for p in pages]).tolist()
-    fractions = batch_fault_fractions(kinds, rng)
-    major = rng.binomial(totals, fractions).tolist()
-    minor = [total - m for total, m in zip(totals, major)]
-    return minor, major
-
-
 def batch_fault_fractions(kinds, rng):
     """Major-fault fractions for a batch, one pooled beta draw over the
-    segments whose kind produces major faults at all.  Split out of
-    :func:`batch_faults` so a caller can pool the surrounding poisson
-    and binomial draws with other draws of the same kind."""
+    segments whose kind produces major faults at all.  The caller pools
+    the surrounding poisson and binomial draws with other draws of the
+    same kind (the lazy-mode counterpart of :func:`segment_faults`)."""
     fractions = [0.0] * len(kinds)
     bursty = [
         (index, _MAJOR_FRACTION[kind])

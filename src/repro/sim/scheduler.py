@@ -89,46 +89,6 @@ def segment_switches(kind, thread, wall_ms, cpu_ms, device, rng, chunk_override=
     return SwitchCounts(voluntary=voluntary, involuntary=involuntary)
 
 
-def batch_switches(kinds, threads, wall_ms, cpu_ms, device, rng, overrides):
-    """Pooled-draw :func:`segment_switches` over a whole batch.
-
-    *wall_ms* / *cpu_ms* are parallel lists (cpu already clamped to
-    wall), as are *kinds* / *threads* / *overrides*.  Returns
-    ``(voluntary, involuntary)`` lists of ints.
-
-    The rates are plain Python arithmetic (batches are small — one
-    action's worth of segments — where numpy's per-array overhead
-    costs more than it saves); only the two poisson draws are pooled.
-    The draw layout differs from the scalar path (one poisson vector
-    for involuntary rates, then one for voluntary, instead of an
-    interleaved pair per segment) — batch callers are lazy-mode only.
-    """
-    involuntary_rate, voluntary_rate = batch_switch_rates(
-        kinds, threads, wall_ms, cpu_ms, device, overrides
-    )
-    involuntary = rng.poisson(involuntary_rate).tolist()
-    voluntary = rng.poisson(voluntary_rate).tolist()
-    return voluntary, involuntary
-
-
-def batch_switch_rates(kinds, threads, wall_ms, cpu_ms, device, overrides):
-    """Poisson rates for a batch of segments, ``(involuntary,
-    voluntary)`` lists — the deterministic half of
-    :func:`batch_switches`, split out so a caller can pool the poisson
-    draws themselves with other draws of the same kind."""
-    quantum = device.sched_quantum_ms
-    involuntary_rate = [cpu / quantum for cpu in cpu_ms]
-    voluntary_rate = [
-        (cpu / RENDER_FRAME_CPU_MS) * RENDER_WAKEUPS_PER_FRAME
-        if thread == RENDER_THREAD
-        else max(0.0, wall - cpu) / wait_chunk_ms(kind, thread, device, override)
-        for kind, thread, wall, cpu, override in zip(
-            kinds, threads, wall_ms, cpu_ms, overrides
-        )
-    ]
-    return involuntary_rate, voluntary_rate
-
-
 def cpu_migrations(switches, device, rng):
     """Sample CPU migrations given a switch count.
 
@@ -141,17 +101,3 @@ def cpu_migrations(switches, device, rng):
     # app cannot observe — a large noise source on this event.
     probability = min(0.5, 0.03 * device.cores * rng.lognormal(0.0, 0.6))
     return int(rng.binomial(switches.total, probability))
-
-
-def batch_migrations(switch_totals, device, rng):
-    """Pooled-draw :func:`cpu_migrations` over a list of totals.
-
-    Unlike the scalar path, the load-factor draw happens for every
-    segment (even zero-switch ones) so the draw count stays fixed per
-    batch shape — batch callers are lazy-mode only.  Returns a list of
-    ints.
-    """
-    base = 0.03 * device.cores
-    factors = rng.lognormal(0.0, 0.6, size=len(switch_totals)).tolist()
-    probability = [min(0.5, base * factor) for factor in factors]
-    return rng.binomial(switch_totals, probability).tolist()

@@ -134,11 +134,6 @@ class Timeline:
         )
         return segment
 
-    def extend(self, segments):
-        """Append several segments."""
-        for segment in segments:
-            self.add(segment)
-
     def add_batch(self, segments):
         """Append many segments, amortising per-thread bookkeeping.
 

@@ -142,10 +142,6 @@ class MetricsRegistry:
             return None
         return tuple(hist[0]), tuple(hist[1])
 
-    def counter_names(self):
-        """Sorted counter names currently present."""
-        return sorted(self._counters)
-
     def empty(self):
         """True when nothing has been recorded."""
         return not (self._counters or self._gauges or self._histograms)

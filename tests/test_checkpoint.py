@@ -139,7 +139,7 @@ def test_checkpointed_map_validates_keys():
 
 def test_checkpointed_map_without_journal_is_plain_map():
     assert checkpointed_map(_triple, [1, 2, 3], ["a", "b", "c"],
-                            None, workers=2) == [3, 6, 9]
+                            None, workers=2).values == {0: 3, 1: 6, 2: 9}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -159,7 +159,7 @@ def test_interrupted_map_resumes_byte_identically(tmp_path, workers):
     resumed = ShardJournal(tmp_path, key).open(resume=True)
     result = checkpointed_map(_triple, items, keys, resumed,
                               workers=workers, report=report)
-    assert result == [_triple(x) for x in items]
+    assert result.values == {x: _triple(x) for x in items}
     assert report.checkpoint_hits == 5
 
 

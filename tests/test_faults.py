@@ -22,6 +22,7 @@ from repro.faults import (
     TraceCollectionError,
     TransientCounterError,
 )
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 
 
@@ -371,8 +372,8 @@ def test_uniform_plan_keeps_executor_channels_off():
 def test_executor_channels_never_draw_at_rate_zero():
     injector = FaultInjector(FaultPlan(), seed=0)
     for shard in range(20):
-        assert not injector.worker_kill_fault(shard, 0)
-        assert not injector.shard_stall_fault(shard, 0)
+        assert not injector.worker_kill_fault(shard)
+        assert not injector.shard_stall_fault(shard)
     assert not injector.torn_write_fault("entry")
     assert injector.draws == {}
     assert injector.fired_total() == 0
@@ -380,29 +381,33 @@ def test_executor_channels_never_draw_at_rate_zero():
 
 def test_keyed_draws_independent_of_call_order():
     """The property that makes executor faults worker-count-proof:
-    each (shard, attempt) verdict depends only on its key, never on
+    each shard's verdict depends only on its key, never on
     how many other draws happened first."""
     plan = FaultPlan(worker_kill_rate=0.4, shard_stall_rate=0.4)
     forward = FaultInjector(plan, seed=11)
     backward = FaultInjector(plan, seed=11)
     shards = list(range(30))
-    verdicts_fwd = [forward.worker_kill_fault(s, 0) for s in shards]
+    verdicts_fwd = [forward.worker_kill_fault(s) for s in shards]
     # Interleave other channels and reverse the order on the second
     # injector; per-shard verdicts must not move.
     verdicts_bwd = []
     for s in reversed(shards):
-        backward.shard_stall_fault(s, 1)
-        verdicts_bwd.append(backward.worker_kill_fault(s, 0))
+        backward.shard_stall_fault(s)
+        verdicts_bwd.append(backward.worker_kill_fault(s))
     assert verdicts_bwd[::-1] == verdicts_fwd
     assert any(verdicts_fwd) and not all(verdicts_fwd)
 
 
 def test_retried_shard_draws_a_fresh_kill_verdict():
-    """A shard killed on attempt 0 is keyed differently on attempt 1,
-    so a sub-1.0 kill rate cannot loop a shard forever."""
-    injector = FaultInjector(FaultPlan(worker_kill_rate=0.5), seed=1)
+    """The scheduler re-scopes its injector per dispatch round, so a
+    shard killed in round 0 draws a fresh verdict in round 1 and a
+    sub-1.0 kill rate cannot loop a shard forever."""
+    scheduler = ElasticScheduler(
+        faults=FaultInjector(FaultPlan(worker_kill_rate=0.5), seed=1),
+    )
+    rounds = [scheduler._round_faults(number) for number in range(4)]
     verdicts = [
-        [injector.worker_kill_fault(shard, attempt) for attempt in range(4)]
+        [injector.worker_kill_fault(shard) for injector in rounds]
         for shard in range(20)
     ]
     assert any(row[0] and not row[1] for row in verdicts)
@@ -508,7 +513,7 @@ def test_device_churn_verdicts_keyed_by_event():
     fwd = [forward.device_churn_fault(*event) for event in events]
     bwd = []
     for event in reversed(events):
-        backward.worker_kill_fault(event[1], 0)  # interleaved channel
+        backward.worker_kill_fault(event[1])  # interleaved channel
         bwd.append(backward.device_churn_fault(*event))
     assert bwd[::-1] == fwd
     assert any(fwd) and not all(fwd)

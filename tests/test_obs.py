@@ -10,17 +10,16 @@ ancestry; and the three ops files are byte-stable.
 """
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
+from repro.harness.exp_stream import stream_sweep
 from repro.obs import (
     DEFAULT_OBJECTIVES,
     OBS_FILENAMES,
     Rollup,
     alerts_to_jsonl,
     bucket_quantile,
-    build_rollup,
     collapse_stacks,
     evaluate_slos,
     flamegraph_text,
@@ -28,6 +27,7 @@ from repro.obs import (
     render_dash,
     render_prometheus,
     render_slo_table,
+    rollup_from_session,
     self_time_rows,
     split_labels,
     write_obs_exports,
@@ -212,32 +212,21 @@ def test_rollup_offline_from_trace_jsonl(tmp_path):
         Rollup().add_records(records).to_jsonl()
 
 
-def test_rollup_stream_chaos_and_scenario_adapters():
-    stream = SimpleNamespace(rounds=[SimpleNamespace(
-        round_index=0, fleet=(0, 1), phase2_collections=4,
-        kb_short_circuits=1, batches_ingested=5, batches_dropped=0,
-        batches_duplicated=1, batches_late=0, duplicates_ignored=1,
-    )])
-    chaos = SimpleNamespace(cells=[SimpleNamespace(
-        rate=0.2, app_name="K9-mail", tp=3, fp=1, fn=1,
-        bugs_detected=3, counter_read_failures=2, trace_failures=0,
-        faults_fired=7, overhead_percent=4.5,
-    )])
-    scenarios = SimpleNamespace(cells=[SimpleNamespace(
-        archetype="blocking", index=0, detected_sites={"a", "b"},
-        truth_sites={"a", "c"}, fp_actions=1, hangs=6,
-    )])
-    rollup = build_rollup(stream=stream, chaos=chaos,
-                          scenarios=scenarios)
-    rows = {(r["domain"], r["index"]): r for r in rollup.rows()}
-    assert rows[("round", 0)]["counters"]["phase2_collections"] == 4
-    chaos_row = rows[("sweep", "chaos|0.2|K9-mail")]
-    assert chaos_row["derived"]["precision"] == 0.75
-    assert chaos_row["derived"]["overhead_pct"] == 4.5
-    scen_row = rows[("sweep", "scenario|blocking|0")]
-    assert scen_row["counters"]["tp"] == 1      # {a}
-    assert scen_row["counters"]["fp"] == 2      # {b} + 1 fp action
-    assert scen_row["counters"]["fn"] == 1      # {c}
+def test_stream_session_round_windows_count_each_round_once(device):
+    """A stream session's trace alone feeds the round domain: one
+    window per sync round, counting that round once."""
+    with session() as tel:
+        result = stream_sweep(device, seed=3, rounds=2, fleet_size=2,
+                              apps=("K9-mail",), actions_per_round=8,
+                              workers=1)
+    rows = [row for row in rollup_from_session(tel).rows()
+            if row["domain"] == "round"]
+    assert [row["index"] for row in rows] == [0, 1]
+    for row, entry in zip(rows, result.rounds):
+        assert row["counters"]["rounds"] == 1
+        assert row["counters"]["fleet"] == len(entry.fleet) == 2
+        assert row["counters"]["phase2_collections"] \
+            == entry.phase2_collections
 
 
 # ----------------------------------------------------------------- SLO
@@ -264,8 +253,8 @@ def test_slo_budget_exhaustion_and_exit_semantics():
     assert all(a["severity"] == "page" for a in alerts
                if a["objective"] == "ingest-availability")
     # Objectives with no windows report no-data, never exhausted.
-    assert by_name["precision-floor"]["total"] == 0
-    assert not by_name["precision-floor"]["exhausted"]
+    assert by_name["detection-latency"]["total"] == 0
+    assert not by_name["detection-latency"]["exhausted"]
 
 
 def test_slo_healthy_rollup_has_no_alerts():

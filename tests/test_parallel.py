@@ -1,10 +1,10 @@
 """The parallel experiment runner and its equivalence guarantees.
 
 Covers the executor primitive itself, the supervisor's failure paths
-(worker crashes, deadlines, in-process last resort), the per-app seed
-derivation of the fleet study, the explicit merge paths on experiment
-results, and the headline guarantee: sharding an experiment across
-worker processes changes nothing about its output.
+(worker crashes and deadlines hand shards back unfinished), the
+per-app seed derivation of the fleet study, the explicit merge paths
+on experiment results, and the headline guarantee: sharding an
+experiment across worker processes changes nothing about its output.
 """
 
 import math
@@ -30,10 +30,12 @@ from repro.harness.exp_fleet import (
 from repro.harness.exp_stability import StabilityResult, fleet_stability
 from repro.parallel import (
     ExecutionReport,
+    PartialResult,
     chunk_indices,
     parallel_map,
     resolve_workers,
 )
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current, export_jsonl, session
 
@@ -77,14 +79,15 @@ def test_chunk_indices_partitions_range():
 
 def test_parallel_map_preserves_order():
     items = list(range(20))
-    expected = [_square(i) for i in items]
-    assert parallel_map(_square, items, workers=1) == expected
-    assert parallel_map(_square, items, workers=4) == expected
+    expected = dict(enumerate(_square(i) for i in items))
+    assert parallel_map(_square, items, workers=1).values == expected
+    assert parallel_map(_square, items, workers=4).values == expected
 
 
 def test_parallel_map_falls_back_on_unpicklable_work():
     closure = lambda x: x + 1  # noqa: E731 - deliberately not module-level
-    assert parallel_map(closure, [1, 2, 3], workers=4) == [2, 3, 4]
+    assert parallel_map(closure, [1, 2, 3], workers=4).values \
+        == {0: 2, 1: 3, 2: 4}
 
 
 def test_parallel_map_propagates_task_errors():
@@ -113,8 +116,8 @@ def test_resolve_workers_rejects_non_integers():
 
 
 def test_parallel_map_workers_exceeding_item_count():
-    assert parallel_map(_square, [7], workers=8) == [49]
-    assert parallel_map(_square, [], workers=4) == []
+    assert parallel_map(_square, [7], workers=8).values == {0: 49}
+    assert parallel_map(_square, [], workers=4).values == {}
 
 
 # --------------------------------------------------------- supervision
@@ -122,7 +125,7 @@ def test_parallel_map_workers_exceeding_item_count():
 
 def _die_in_worker(x):
     """Crash the hosting process — but only when it *is* a worker, so
-    the supervisor's in-process last resort completes the shard."""
+    an in-process run completes the shard."""
     if x == 13 and multiprocessing.parent_process() is not None:
         os._exit(87)
     return x * x
@@ -143,35 +146,6 @@ def _ordered_boom(x):
     raise ValueError(f"boom {x}")
 
 
-def test_supervisor_recovers_from_worker_crash():
-    """A worker taken down by SIGKILL-equivalent (os._exit) breaks the
-    pool; the supervisor rebuilds it, retries the surviving shards,
-    and completes the persistently-crashing one in-process.  Results
-    are byte-identical to a clean run and the report says what
-    happened instead of downgrading silently."""
-    items = list(range(20))
-    expected = [x * x for x in items]
-    report = ExecutionReport()
-    result = parallel_map(_die_in_worker, items, workers=4, report=report)
-    assert result == expected
-    assert report.worker_crashes >= 1
-    assert report.in_process_shards >= 1
-    assert report.pool_attempts >= 2
-    assert report.degraded
-    assert any("crash" in event for event in report.events)
-
-
-def test_supervisor_deadline_reruns_stalled_shard_in_process():
-    items = list(range(4))
-    report = ExecutionReport()
-    result = parallel_map(_stall_in_worker, items, workers=2,
-                          deadline=1.0, report=report)
-    assert result == [x * x for x in items]
-    assert report.deadline_hits >= 1
-    assert report.in_process_shards >= 1
-    assert report.degraded
-
-
 def test_shard_failure_raised_in_submission_order():
     """When several shards fail, the *first submitted* failure wins
     even when a later shard's error arrives earlier."""
@@ -182,7 +156,8 @@ def test_shard_failure_raised_in_submission_order():
 def test_serial_fallback_is_reported_not_silent():
     closure = lambda x: x + 1  # noqa: E731 - deliberately unpicklable
     report = ExecutionReport()
-    assert parallel_map(closure, [1, 2], workers=2, report=report) == [2, 3]
+    assert parallel_map(closure, [1, 2], workers=2,
+                        report=report).values == {0: 2, 1: 3}
     assert report.serial_fallbacks == 1
     assert report.degraded
     assert any("serial" in event for event in report.events)
@@ -216,9 +191,9 @@ def test_execution_report_merge_and_describe():
 
 
 def _traced_die_in_worker(x):
-    """Crash the worker on item 13 *after* it recorded telemetry in an
-    earlier attempt's doomed process; the retried/in-process run's
-    records are the only ones that reach the parent."""
+    """Crash the worker on item 13 *after* it recorded telemetry in a
+    doomed process; only the records of the run that finishes it reach
+    the parent."""
     tel = current()
     with tel.track(f"work/{x}"):
         tel.count("work.calls")
@@ -229,17 +204,18 @@ def _traced_die_in_worker(x):
 
 
 def test_telemetry_unperturbed_by_worker_crashes():
-    """Supervision noise (crashes, retries, pool rebuilds) lands on the
-    advisory channel only: the deterministic export equals a clean
-    serial run's even when workers died mid-sweep."""
+    """Supervision noise (crashes, reshards, re-dispatch rounds) lands
+    on the advisory channel only: the deterministic export equals a
+    clean serial run's even when workers died mid-sweep."""
     items = list(range(20))
+    keys = [f"k{x}" for x in items]
     with session() as clean:
-        assert parallel_map(_traced_die_in_worker, items, workers=1) \
-            == [x * x for x in items]
+        assert ElasticScheduler(workers=1).map(
+            _traced_die_in_worker, items, keys) == [x * x for x in items]
     report = ExecutionReport()
     with session() as crashed:
-        result = parallel_map(_traced_die_in_worker, items, workers=4,
-                              report=report)
+        result = ElasticScheduler(workers=4, report=report).map(
+            _traced_die_in_worker, items, keys)
     assert result == [x * x for x in items]
     assert report.worker_crashes >= 1
     assert export_jsonl(crashed) == export_jsonl(clean)
@@ -387,7 +363,7 @@ def test_fleet_stability_parallel_equals_serial(device):
     assert parallel.seeds == (1, 2)
 
 
-# ----------------------------------------------------- reclaim mode
+# ------------------------------------------- unfinished shards
 
 
 def _sleepy_square(x):
@@ -406,20 +382,18 @@ def _stall_one_sleep_rest(x):
 
 
 def test_reclaim_serial_path_completes_everything():
-    from repro.parallel import PartialResult
-
-    partial = parallel_map(_square, [1, 2, 3], workers=1, reclaim=True)
+    partial = parallel_map(_square, [1, 2, 3], workers=1)
     assert isinstance(partial, PartialResult)
     assert partial.values == {0: 1, 1: 4, 2: 9}
     assert partial.unfinished == ()
 
 
 def test_reclaim_returns_crashed_shards_unfinished():
-    """Reclaim mode hands worker-death casualties back to the caller
-    instead of rebuilding the pool: exactly one attempt runs."""
+    """Worker-death casualties go back to the caller instead of to a
+    rebuilt pool: exactly one attempt runs."""
     report = ExecutionReport()
     partial = parallel_map(_die_in_worker, list(range(20)), workers=4,
-                           report=report, reclaim=True)
+                           report=report)
     assert 13 in partial.crashed
     assert all(partial.values[i] == i * i for i in partial.values)
     assert report.pool_attempts == 1
@@ -429,7 +403,7 @@ def test_reclaim_returns_crashed_shards_unfinished():
 def test_reclaim_returns_stalled_shards_unfinished():
     report = ExecutionReport()
     partial = parallel_map(_stall_in_worker, list(range(4)), workers=2,
-                           deadline=1.0, report=report, reclaim=True)
+                           deadline=1.0, report=report)
     assert partial.stalled == (2,)
     assert set(partial.values) == {0, 1, 3}
     assert report.deadline_hits == 1
@@ -438,7 +412,7 @@ def test_reclaim_returns_stalled_shards_unfinished():
 
 def test_reclaim_propagates_task_errors():
     with pytest.raises(ValueError, match="boom"):
-        parallel_map(_boom, [1, 2], workers=2, reclaim=True)
+        parallel_map(_boom, [1, 2], workers=2)
 
 
 def test_deadline_measured_from_submission_not_drain_order():
@@ -452,8 +426,7 @@ def test_deadline_measured_from_submission_not_drain_order():
     report = ExecutionReport()
     start = time.monotonic()
     partial = parallel_map(_stall_one_sleep_rest, list(range(4)),
-                           workers=4, deadline=1.2, report=report,
-                           reclaim=True)
+                           workers=4, deadline=1.2, report=report)
     elapsed = time.monotonic() - start
     assert partial.stalled == (0,)
     assert set(partial.values) == {1, 2, 3}
@@ -475,8 +448,7 @@ def test_slow_but_progressing_pool_grants_one_deadline_total():
     report = ExecutionReport()
     start = time.monotonic()
     partial = parallel_map(_stall_last_sleep_rest, list(range(4)),
-                           workers=4, deadline=1.2, report=report,
-                           reclaim=True)
+                           workers=4, deadline=1.2, report=report)
     elapsed = time.monotonic() - start
     assert partial.stalled == (3,)
     assert report.deadline_hits == 1
@@ -516,7 +488,7 @@ def test_report_merge_is_associative_and_commutative_up_to_events():
     reports = [
         _report("a", shards=3, steals=2, worker_crashes=1),
         _report("b", reshards=4, churn_events=2, deadline_hits=1),
-        _report("c", checkpoint_hits=5, torn_writes=1, shard_retries=2),
+        _report("c", checkpoint_hits=5, torn_writes=1, in_process_shards=2),
     ]
 
     def merged(order):

@@ -254,6 +254,39 @@ def test_scheduler_worker_crash_recovery_without_injection():
     assert report.reshards >= 1
 
 
+class _EntrySeesLog(ShardJournal):
+    """A journal noting, as each shard result lands, which decisions
+    the reassignment log already holds."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.logged_before = {}
+
+    def record(self, shard_key, value):
+        self.logged_before[str(shard_key)] = [
+            record["kind"] for record in self.reassignments()
+        ]
+        return super().record(shard_key, value)
+
+
+def test_scheduler_escape_hatch_runs_doomed_shards_in_process(tmp_path):
+    """Shards whose worker always dies leave every pooled round idle
+    (two of them, since a lone shard already runs in-process); after
+    MAX_IDLE_ROUNDS the scheduler logs a fallback, then runs them
+    in-process and counts them there."""
+    report = ExecutionReport()
+    journal = _EntrySeesLog(tmp_path, run_key("sched-hatch")).open()
+    sched = ElasticScheduler(workers=2, report=report, journal=journal)
+    assert sched.map(_die_on_17, [17, 17], ["a", "b"]) == [17 ** 3] * 2
+    assert report.in_process_shards == 2
+    assert report.worker_crashes >= 2
+    assert sched.dispatch_rounds == 3
+    fallback = journal.reassignments()[-1]
+    assert fallback == {"kind": "fallback", "items": ["a", "b"]}
+    for key in ("a", "b"):
+        assert "fallback" in journal.logged_before[key]
+
+
 # ----------------------------------------------------------- streaming
 
 

@@ -257,8 +257,8 @@ def test_absorb_order_does_not_change_export():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_parallel_map_telemetry_identical_across_workers(workers):
     with session() as tel:
-        assert parallel_map(_traced_square, [1, 2, 3], workers=workers) \
-            == [1, 4, 9]
+        assert parallel_map(_traced_square, [1, 2, 3],
+                            workers=workers).values == {0: 1, 1: 4, 2: 9}
         exports = _exports(tel)
     with session() as serial:
         for x in (1, 2, 3):
@@ -267,7 +267,7 @@ def test_parallel_map_telemetry_identical_across_workers(workers):
 
 
 def test_parallel_map_without_session_returns_plain_values():
-    assert parallel_map(_traced_square, [2], workers=2) == [4]
+    assert parallel_map(_traced_square, [2], workers=2).values == {0: 4}
 
 
 def test_executor_advisory_events_mirror_the_report():
@@ -308,7 +308,7 @@ def test_interrupted_map_resumes_with_identical_exports(tmp_path):
         report = ExecutionReport()
         result = checkpointed_map(_traced_square, items, keys, journal,
                                   workers=2, report=report)
-        assert result == [x * x for x in items]
+        assert result.values == {x: x * x for x in items}
         assert report.checkpoint_hits == 2  # shards 0/1 came from disk
         assert _exports(resumed_session) == expected
 
