@@ -122,34 +122,31 @@ def test_counter_model_lazy_speedup(device, bench_record):
     )
 
 
-def _best_pair_ms(device, *, counter_events, actions=200, reps=7):
-    """Best-of-repeats wall time per run_action for the reference and
-    columnar paths, in milliseconds: ``(reference_ms, columnar_ms)``.
+def _best_pair_ms(device, baseline, candidate, actions=200, reps=7):
+    """Best-of-repeats wall time per run_action for two engine
+    configurations (``ExecutionEngine`` keyword dicts), in
+    milliseconds: ``(baseline_ms, candidate_ms)``.
 
     A fresh engine per repeat so caches warm identically every time;
-    the two paths alternate within each repeat so load spikes on a
-    busy CI box hit both sides of the ratio, and min-of-repeats drops
-    any repeat that was hit anyway.
+    the two configurations alternate within each repeat so load spikes
+    on a busy CI box hit both sides of the ratio, and min-of-repeats
+    drops any repeat that was hit anyway.
     """
     import time
 
     app = get_app("K9-mail")
     plan = [app.actions[i % len(app.actions)] for i in range(actions)]
-    best = {False: float("inf"), True: float("inf")}
+    configs = (baseline, candidate)
+    best = [float("inf")] * len(configs)
     for _ in range(reps):
-        for columnar in (False, True):
-            engine = ExecutionEngine(
-                device, seed=7, counter_events=counter_events,
-                columnar=columnar,
-            )
+        for index, kwargs in enumerate(configs):
+            engine = ExecutionEngine(device, seed=7, **kwargs)
             started = time.perf_counter()
             for action in plan:
                 engine.run_action(app, action)
-            best[columnar] = min(
-                best[columnar], time.perf_counter() - started
-            )
+            best[index] = min(best[index], time.perf_counter() - started)
     scale = 1000.0 / actions
-    return best[False] * scale, best[True] * scale
+    return best[0] * scale, best[1] * scale
 
 
 def test_engine_columnar_full_mode_speedup(device, bench_record):
@@ -157,7 +154,7 @@ def test_engine_columnar_full_mode_speedup(device, bench_record):
     core over the seed-shaped reference path.  The two paths render
     byte-identical output (tests/test_columnar.py), so this ratio is a
     pure measure of the batched segment construction."""
-    reference, columnar = _best_pair_ms(device, counter_events=None)
+    reference, columnar = _best_pair_ms(device, {"columnar": False}, {})
     speedup = reference / columnar
     bench_record(
         "engine", "full_mode.reference_ms_per_action", reference,
@@ -176,13 +173,42 @@ def test_engine_columnar_full_mode_speedup(device, bench_record):
     )
 
 
+def test_engine_projected_speedup(device, bench_record):
+    """End-to-end speedup of the deployment engines' projection
+    (``monitored=FILTER_EVENTS``: full-mode draws, three stored events)
+    over the full engine.  Both render the same kept values
+    (tests/test_projection.py), so this ratio is a pure measure of the
+    PMU arithmetic and the 43 per-segment values no longer built."""
+    from repro.sim.counters import FILTER_EVENTS
+
+    full, projected = _best_pair_ms(
+        device, {}, {"monitored": FILTER_EVENTS}
+    )
+    speedup = full / projected
+    bench_record(
+        "engine", "projected.ms_per_action", projected,
+        unit="ms", higher_is_better=False, tolerance=None,
+    )
+    bench_record(
+        "engine", "projected.speedup_x", speedup,
+        unit="x", higher_is_better=True, tolerance=0.25,
+    )
+    assert speedup >= 1.4, (
+        f"projected engine only {speedup:.2f}x faster than full mode"
+    )
+
+
 def test_engine_columnar_filter_only_speedup(device, bench_record):
     """End-to-end filter-only (lazy, S-Checker's three events) speedup
     of the columnar core over the seed-shaped reference path — the
     fleet's hot configuration."""
     from repro.sim.counters import FILTER_EVENTS
 
-    reference, columnar = _best_pair_ms(device, counter_events=FILTER_EVENTS)
+    reference, columnar = _best_pair_ms(
+        device,
+        {"counter_events": FILTER_EVENTS, "columnar": False},
+        {"counter_events": FILTER_EVENTS},
+    )
     speedup = reference / columnar
     bench_record(
         "engine", "filter_only.reference_ms_per_action", reference,

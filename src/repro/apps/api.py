@@ -33,6 +33,7 @@ Kinds
     Cheap bookkeeping call; never hangs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -243,8 +244,11 @@ class ApiSpec:
         mu = math.log(self.mean_ms) - 0.5 * self.sigma**2
         return float(rng.lognormal(mean=mu, sigma=self.sigma)), True
 
+
+@functools.lru_cache(maxsize=None)
 def hash_line(text):
-    """Stable small hash for synthesizing source line numbers."""
+    """Stable small hash for synthesizing source line numbers (memoized:
+    the same frame texts recur across corpus, scenario and plan builds)."""
     value = 0
     for char in text:
         value = (value * 131 + ord(char)) % 1_000_003

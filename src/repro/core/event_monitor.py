@@ -41,14 +41,6 @@ class PerformanceEventMonitor:
         #: Number of read attempts that failed (injected faults).
         self.failed_reads = 0
 
-    @property
-    def kernel_only(self):
-        """True when the monitored set needs no PMU registers — the
-        configuration that pairs with a lazily-restricted
-        :class:`~repro.sim.counters.CounterModel` (the engine then
-        skips generating the 37 PMU events these reads never touch)."""
-        return self._sampler.kernel_only
-
     def _begin_read(self, lo, hi):
         """Meter one read attempt; raise if the read fails."""
         self.monitored_ms += max(0.0, hi - lo)

@@ -189,8 +189,10 @@ def _chaos_cell(payload):
         app = get_app(app_name)
         plan = FaultPlan.uniform(rate)
         app_seed = fleet_app_seed(seed, app_name)
-        engine = ExecutionEngine(device, seed=app_seed)
         doctor = HangDoctor(app, device, seed=app_seed, faults=plan)
+        engine = ExecutionEngine(
+            device, seed=app_seed, monitored=doctor.config.filter_events()
+        )
         generator = SessionGenerator(seed=seed)
         runs = []
         for session in generator.fleet_sessions(app, users,

@@ -178,9 +178,11 @@ def _run_fleet_app(app, device, seed, users, actions_per_user, config,
     a clean app was wrongly flagged.
     """
     app_seed = fleet_app_seed(seed, app.name)
-    engine = ExecutionEngine(device, seed=app_seed)
     doctor = HangDoctor(
         app, device, config=config, blocking_db=blocking_db, seed=app_seed,
+    )
+    engine = ExecutionEngine(
+        device, seed=app_seed, monitored=doctor.config.filter_events()
     )
     detections = []
     is_catalog = bool(app.hang_bug_operations())

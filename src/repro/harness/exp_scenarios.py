@@ -208,10 +208,12 @@ def _run_scenario_app(entry, device, seed, users, actions_per_user,
     """
     app = entry.app
     app_seed = fleet_app_seed(seed, app.name)
-    engine = ExecutionEngine(device, seed=app_seed)
     doctor = HangDoctor(
         app, device, config=config, blocking_db=blocking_db,
         seed=app_seed,
+    )
+    engine = ExecutionEngine(
+        device, seed=app_seed, monitored=doctor.config.filter_events()
     )
     detections = []
     hangs = 0

@@ -138,11 +138,14 @@ def _crowd_device_round(payload):
         for app_name in app_names:
             app = get_app(app_name)
             app_seed = substream_seed(round_seed, app_name)
-            engine = ExecutionEngine(device, seed=app_seed)
             doctor = HangDoctor(
                 app, device, seed=app_seed,
                 blocking_db=BlockingApiDatabase(db_names),
                 crowd_kb=knowledge,
+            )
+            engine = ExecutionEngine(
+                device, seed=app_seed,
+                monitored=doctor.config.filter_events(),
             )
             session = generator.user_session(
                 app, user_id=device_index, actions_per_user=actions

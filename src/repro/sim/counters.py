@@ -35,7 +35,9 @@ do not change.  Lazy models restrict the pooled vector to the
 dependency closure of the PMU events actually requested (partial-PMU
 mode), and :meth:`CounterModel.segment_batch` extends the pooling
 across all segments of an action for the engine's fleet-scale fast
-path.  See ``docs/perf.md`` for the full determinism contract.
+path.  A *monitored* projection keeps the full-mode draws but stores
+only the events its consumer reads.  See ``docs/perf.md`` for the
+full determinism contract.
 """
 
 import math
@@ -282,11 +284,40 @@ class CounterModel:
     (the pooled vector consumes the rng exactly as the scalar sequence
     did), and the reference is kept as the baseline for the
     ``BENCH_*.json`` speedup trajectory and the bit-identity tests.
+
+    *monitored* projects the full model onto the events its consumer
+    reads (a deployed Hang Doctor reads only its filter events).  A
+    projection is not a universe: every full-mode draw still happens,
+    in full-mode order, so each kept value is bit-identical to the
+    full model's; only the unread values are no longer built.  A
+    kernel-only projection consumes the PMU block's factors without
+    evaluating it.  *monitored* applies to the full universe only, so
+    combining it with *events* or ``columnar=False`` raises
+    :class:`ValueError`.
     """
 
-    def __init__(self, device, events=None, columnar=True):
+    def __init__(self, device, events=None, columnar=True, monitored=None):
         self.device = device
         self.columnar = bool(columnar)
+        self.monitored = None
+        self._kernel_projection = False
+        if monitored is not None:
+            monitored = tuple(monitored)
+            unknown = [e for e in monitored if e not in ALL_EVENTS]
+            if unknown:
+                raise ValueError(f"unknown performance events: {unknown}")
+            if events is not None:
+                raise ValueError(
+                    "monitored projects the full universe; it cannot be "
+                    "combined with an events= universe"
+                )
+            if not self.columnar:
+                raise ValueError(
+                    "monitored projects the columnar full universe; the "
+                    "columnar=False reference keeps every event"
+                )
+            self.monitored = monitored
+            self._kernel_projection = set(monitored).isdisjoint(PMU_EVENTS)
         if events is None:
             self.events = None
             self._want = None
@@ -354,7 +385,8 @@ class CounterModel:
         rng: numpy Generator (one per action execution).
 
         Returns a dict over :data:`ALL_EVENTS`, or over the configured
-        subset when the model was built with an *events* restriction.
+        subset when the model was built with an *events* restriction
+        or a *monitored* projection.
 
         When ``dvfs`` is None a per-segment frequency factor is drawn
         with :data:`DVFS_SIGMA` — the same sigma the engine uses for
@@ -383,11 +415,18 @@ class CounterModel:
                 chunk_override=wait_chunk_override,
             )
             counts["context-switches"] = float(switches.total)
-        if self._need_faults:
+        if self._need_fault_split:
             faults = memory.segment_faults(kind, pages, rng)
             counts["page-faults"] = float(faults.total)
             counts["minor-faults"] = float(faults.minor)
             counts["major-faults"] = float(faults.major)
+        elif self._need_faults:
+            # Totals only: the minor/major split draws exist solely to
+            # apportion the total the poisson already fixed, so a lazy
+            # model skips them (the segment_batch rule).
+            counts["page-faults"] = (
+                float(rng.poisson(pages)) if pages > 0 else 0.0
+            )
         if switches is not None and self._need_migrations:
             counts["cpu-migrations"] = float(
                 scheduler.cpu_migrations(switches, device, rng)
@@ -422,17 +461,32 @@ class CounterModel:
         cpu_base = cpu_ms * self._cycles_per_ms * dvfs
         ipc = self._ipc_by_kind[kind] * uarch["ipc"]
         if self.events is None:
-            if (
+            monitored = self.monitored
+            positive = (
                 cpu_base > 0.0
                 and uarch["ipc"] > 0.0 and uarch["branch"] > 0.0
                 and uarch["mem"] > 0.0 and uarch["cache"] > 0.0
                 and uarch["tlb"] > 0.0
-            ):
+            )
+            if self._kernel_projection:
+                # Kernel-only projection: consume the PMU block's draws
+                # without evaluating it.  numpy's lognormal is
+                # exp(0 + sigma * z) over the same ziggurat normal, so
+                # 37 standard normals advance the stream exactly as the
+                # pooled draw in _pmu_full does.
+                if positive:
+                    rng.standard_normal(_PMU_SIGMAS_FULL.size)
+                else:
+                    self._pmu_reference({}, cpu_base, ipc, uarch, rng)
+                return {event: counts[event] for event in monitored}
+            if positive:
                 self._pmu_full(counts, cpu_base, ipc, uarch, rng)
             else:
                 # Pathological inputs (a zero/negative multiplier from a
                 # direct caller): replay the per-value scalar guards.
                 self._pmu_reference(counts, cpu_base, ipc, uarch, rng)
+            if monitored is not None:
+                return {event: counts[event] for event in monitored}
             return counts
 
         # Partial-PMU mode: one pooled draw sized to the dependency

@@ -13,11 +13,12 @@ The engine caches an :class:`~repro.sim.plan.ActionPlan` per
 (app, action): frames, uarch profiles, and duration parameters are
 resolved once instead of per segment.  Full-mode executions keep the
 historical scalar draw sequence exactly (byte-identical rendered
-outputs); engines restricted to a *counter_events* subset additionally
-run a columnar action loop that pools the per-operation draws and
-computes all of an action's segment counts in one
-:meth:`~repro.sim.counters.CounterModel.segment_batch` call.  See
-``docs/perf.md`` for the determinism contract.
+outputs), and a *monitored* projection makes the same draws while
+keeping only the events its consumer reads; engines restricted to a
+*counter_events* subset additionally run a columnar action loop that
+pools the per-operation draws and computes all of an action's segment
+counts in one :meth:`~repro.sim.counters.CounterModel.segment_batch`
+call.  See ``docs/perf.md`` for the determinism contract.
 """
 
 import math
@@ -209,7 +210,7 @@ class ExecutionEngine:
     """
 
     def __init__(self, device, seed=0, environment="wild",
-                 counter_events=None, columnar=True):
+                 counter_events=None, columnar=True, monitored=None):
         if environment not in ("wild", "lab"):
             raise ValueError(f"unknown environment {environment!r}")
         self.device = device
@@ -226,8 +227,15 @@ class ExecutionEngine:
         #: the fast path for fleet-scale runs where only the S-Checker
         #: filter reads counters.  Timeline queries for unrequested
         #: events read as zero.
+        #:
+        #: *monitored* (e.g. a deployed Hang Doctor's
+        #: ``config.filter_events()``) keeps the full-mode draws and
+        #: segments store only those events: every kept value, timing
+        #: and frame is bit-identical to the full engine's, and
+        #: :data:`NETWORK_BYTES_EVENT` is still recorded.
         self.counter_model = CounterModel(
-            device, events=counter_events, columnar=columnar
+            device, events=counter_events, columnar=columnar,
+            monitored=monitored,
         )
         #: ``columnar=False`` retains the historical per-segment scalar
         #: implementation end to end — the reference baseline for the

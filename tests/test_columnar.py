@@ -170,6 +170,28 @@ def test_pmu_subset_still_draws_dvfs(device):
     assert spy.pmu_draws()
 
 
+def test_fault_totals_only_skip_the_split_draws(device):
+    """segment_counts follows segment_batch's rule: a model that wants
+    only page-fault totals draws no beta and no binomial (the
+    minor/major split); asking for minor faults brings both back."""
+
+    def calls(events):
+        spy = RecordingRng(stream("fault-split", str(events)))
+        CounterModel(device, events=events).segment_counts(
+            kind=ApiKind.BLOCKING, thread=MAIN_THREAD, wall_ms=300.0,
+            cpu_ms=180.0, pages=900, uarch=NEUTRAL_UARCH, rng=spy,
+        )
+        return spy.calls
+
+    totals_only = calls(FILTER_EVENTS)
+    assert "poisson" in totals_only
+    assert "beta" not in totals_only
+    assert "binomial" not in totals_only
+    split = calls(("page-faults", "minor-faults"))
+    assert "beta" in split
+    assert "binomial" in split
+
+
 def test_action_execution_empty_event_list_response_time(device, k9):
     """Regression: an execution with no input events reports 0.0 ms
     instead of raising ``max() arg is an empty sequence``."""
