@@ -11,18 +11,25 @@ everything runtime detectors are allowed to observe.
 
 The engine caches an :class:`~repro.sim.plan.ActionPlan` per
 (app, action): frames, uarch profiles, and duration parameters are
-resolved once instead of per segment.  Full-mode executions keep the
-historical scalar draw sequence exactly (byte-identical rendered
-outputs), and a *monitored* projection makes the same draws while
-keeping only the events its consumer reads; engines restricted to a
-*counter_events* subset additionally run a columnar action loop that
-pools the per-operation draws and computes all of an action's segment
-counts in one :meth:`~repro.sim.counters.CounterModel.segment_batch`
-call.  See ``docs/perf.md`` for the determinism contract.
+resolved once instead of per segment.  The action model is written
+once: FIFO dispatch of the input events, the layout of each sampled
+operation as one counter-model row per segment, the settle and ambient
+tail, and the ingest of the segments into a :class:`Timeline`.  The
+two determinism universes differ only in how they draw.  Full mode
+draws each segment's counts through
+:meth:`~repro.sim.counters.CounterModel.segment_counts` in the
+historical scalar order as it goes (byte-identical rendered outputs),
+and a *monitored* projection makes the same draws while keeping only
+the events its consumer reads.  Engines restricted to a
+*counter_events* subset pool the per-operation draws and compute all
+of an action's segment counts in one
+:meth:`~repro.sim.counters.CounterModel.segment_batch` call.  See
+``docs/perf.md`` for the determinism contracts.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 from repro.apps.app import ActionSpec, AppSpec, Operation
@@ -77,8 +84,8 @@ _RENDER_PAGE_FACTOR_PER_SHARE = 6.67
 #: Stable microarchitectural profile of the render thread's own code.
 _RENDER_UARCH = {"ipc": 1.0, "cache": 1.0, "branch": 1.0, "tlb": 1.0, "mem": 1.0}
 
-#: Static segment-batch params of a worker-dispatch stub (columnar
-#: path) — every dispatch segment has the same shape.
+#: Counter-model row of a worker-dispatch stub: every dispatch segment
+#: has the same shape.
 _WORKER_DISPATCH_PARAMS = (
     ApiKind.LIGHT, MAIN_THREAD, _WORKER_DISPATCH_MS,
     _WORKER_DISPATCH_MS * 0.9, 2, _RENDER_UARCH, None,
@@ -277,8 +284,11 @@ class ExecutionEngine:
         """Execute *action* of *app* starting at *start_ms*.
 
         A caller may supply its own *looper* (e.g. one with response-
-        time monitors installed via ``set_message_logging``); otherwise
-        a private looper is used.
+        time monitors installed via ``set_message_logging``).
+        Otherwise the engine drains a private FIFO queue inline, with
+        the timings a looper without printers gives; only the
+        ``columnar=False`` reference still posts to a private
+        :class:`~repro.sim.looper.Looper`.
         """
         self._execution_index += 1
         # columnar=False bypasses the plan cache entirely: the
@@ -300,106 +310,34 @@ class ExecutionEngine:
             rng = reseed_prefixed(
                 self._lazy_rng, prefix, self._execution_index
             )
-            return self._run_action_columnar(
+            return self._run_action_lazy(
                 app, action, plan, start_ms, rng, looper
             )
         rng = stream(self.seed, app.name, action.name, self._execution_index)
         # The DVFS governor holds one frequency across a short action.
-        self._dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
-        timeline = Timeline()
-        events = []
-        if plan is not None and looper is None:
-            # Private looper + cached plan: inline the FIFO drain.  The
-            # queue would hold one message per input event, all
-            # enqueued at start_ms and drained with no printers — the
-            # timing bookkeeping below is exactly Looper.dispatch_all's
-            # and involves no draws, so the scalar draw sequence (the
-            # byte-identity contract) is untouched.
-            finish = start_ms
-            for event_spec, ops in zip(action.events, plan.events):
-                dispatch_ms = finish
-                clock = dispatch_ms
-                op_execs = []
-                for op_plan in ops:
-                    clock = self._run_operation(
-                        op_plan, clock, rng, timeline, op_execs
-                    )
-                events.append(
-                    InputEventExecution(
-                        spec=event_spec, enqueue_ms=start_ms,
-                        dispatch_ms=dispatch_ms, finish_ms=clock,
-                        op_executions=tuple(op_execs),
-                    )
-                )
-                finish = clock
-            clock = finish + _EVENT_GAP_MS if events else start_ms
+        dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
+        segments = []
+        if plan is None:
+            run_op = partial(
+                self._run_operation_reference, app, rng, dvfs, segments,
+                action.handler_frame(app.package),
+            )
         else:
-            looper = looper if looper is not None else Looper()
-            handler_frame = (
-                plan.handler_frame if plan is not None
-                else action.handler_frame(app.package)
-            )
-
-            for event_spec in action.events:
-                looper.post(
-                    Message(target=event_spec.name, payload=event_spec,
-                            enqueue_ms=start_ms)
-                )
-
-            op_execs_per_event = []
-
-            def handle(message, dispatch_ms):
-                clock = dispatch_ms
-                op_execs = []
-                if plan is not None:
-                    for op_plan in plan.ops_for(
-                        message.payload, app.package, self.environment
-                    ):
-                        clock = self._run_operation(
-                            op_plan, clock, rng, timeline, op_execs
-                        )
-                else:
-                    for op in message.payload.operations:
-                        clock = self._run_operation_reference(
-                            app, op, clock, rng, timeline, op_execs,
-                            handler_frame,
-                        )
-                op_execs_per_event.append(tuple(op_execs))
-                return clock
-
-            records = looper.dispatch_all(handle, start_ms)
-
-            clock = start_ms
-            for record, op_execs in zip(records, op_execs_per_event):
-                events.append(
-                    InputEventExecution(
-                        spec=record.message.payload,
-                        enqueue_ms=record.message.enqueue_ms,
-                        dispatch_ms=record.dispatch_ms,
-                        finish_ms=record.finish_ms,
-                        op_executions=op_execs,
-                    )
-                )
-                clock = record.finish_ms + _EVENT_GAP_MS
-
-        end_ms = self._settle(timeline, clock, rng)
-        tel = telemetry()
-        if tel.enabled:
-            tel.count("sim.actions.executed")
-            tel.count("sim.events.dispatched", len(events))
-            tel.record_span(
-                "sim.action.execute", start_ms, end_ms,
-                app=app.name, action=action.name, events=len(events),
-                hang=any(event.is_soft_hang for event in events),
-            )
-        return ActionExecution(
-            app=app,
-            action=action,
-            start_ms=start_ms,
-            end_ms=end_ms,
-            events=tuple(events),
-            timeline=timeline,
+            run_op = partial(self._run_operation, rng, dvfs, segments)
+        events, clock = self._dispatch(
+            app, action, plan, start_ms, looper, run_op
         )
+        # The settle marks the end of the *action* (the window S-Checker
+        # accumulates counters over); the ambient activity after it
+        # belongs to the app's steady state (see _ambient_rows).  Full
+        # mode draws the ambient span after the settle counts.
+        end_ms = clock + self._settle_ms
+        self._draw_rows(
+            ((clock, self._settle_params, (), None),), rng, dvfs, segments
+        )
+        ambient_ms = float(rng.uniform(400.0, 800.0))
+        self._draw_rows(_ambient_rows(end_ms, ambient_ms), rng, dvfs, segments)
+        return _execution(app, action, start_ms, end_ms, events, segments)
 
     def run_queued_burst(self, app, action_names, start_ms=0.0):
         """A rapid tap burst: every action's input events enqueue at
@@ -407,15 +345,16 @@ class ExecutionEngine:
         one, in their queue order" — which is why one blocking
         operation freezes everything behind it).
 
-        Returns the list of
-        :class:`~repro.sim.looper.DispatchRecord` — their ``latency_ms``
-        (enqueue to finish) shows queued events absorbing the delay of
-        whatever ran before them, unlike ``response_time_ms``.
+        Returns ``(records, timeline)``: one
+        :class:`~repro.sim.looper.DispatchRecord` per input event —
+        their ``latency_ms`` (enqueue to finish) shows queued events
+        absorbing the delay of whatever ran before them, unlike
+        ``response_time_ms`` — and the burst's :class:`Timeline`.
         """
         self._execution_index += 1
         rng = stream(self.seed, app.name, "burst", self._execution_index)
-        self._dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
-        timeline = Timeline()
+        dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
+        segments = []
         looper = Looper()
         for name in action_names:
             action = app.action(name)
@@ -431,16 +370,19 @@ class ExecutionEngine:
                     )
                 )
 
+        run_op = partial(self._run_operation, rng, dvfs, segments)
+
         def handle(message, dispatch_ms):
             clock = dispatch_ms
             scratch = []
             for op_plan in message.payload:
-                clock = self._run_operation(
-                    op_plan, clock, rng, timeline, scratch
-                )
+                clock = run_op(op_plan, clock, scratch)
             return clock
 
         records = looper.dispatch_all(handle, start_ms)
+        telemetry().count("sim.counter.segments", len(segments))
+        timeline = Timeline()
+        timeline.add_batch(segments)
         return records, timeline
 
     def run_session(self, app, action_names, start_ms=0.0, gap_ms=2000.0):
@@ -455,9 +397,127 @@ class ExecutionEngine:
         return executions
 
     # ------------------------------------------------------------------
-    # Full-mode scalar path (byte-identity contract).
+    # The action model, shared by both universes.
 
-    def _run_operation(self, op_plan, clock, rng, timeline, op_execs):
+    def _dispatch(self, app, action, plan, start_ms, looper, run_op):
+        """Run *action*'s input events one at a time in queue order.
+
+        Every input event is enqueued at *start_ms*; each is dispatched
+        when the one before it finishes.  *run_op(op, clock, op_execs)*
+        executes one operation (an :class:`~repro.sim.plan.OpPlan`, or
+        a raw :class:`Operation` when *plan* is None) and returns the
+        new main-thread clock.  Returns the
+        :class:`InputEventExecution` list and the clock at which the
+        action's tail starts.
+        """
+        events = []
+
+        def run_event(spec, ops, enqueue_ms, dispatch_ms):
+            clock = dispatch_ms
+            op_execs = []
+            for op in ops:
+                clock = run_op(op, clock, op_execs)
+            events.append(
+                InputEventExecution(
+                    spec=spec, enqueue_ms=enqueue_ms,
+                    dispatch_ms=dispatch_ms, finish_ms=clock,
+                    op_executions=tuple(op_execs),
+                )
+            )
+            return clock
+
+        if plan is not None and looper is None:
+            # Private queue + cached plan: inline the FIFO drain.  The
+            # queue would hold one message per input event, all
+            # enqueued at start_ms and drained with no printers — the
+            # timing bookkeeping below is exactly Looper.dispatch_all's
+            # and involves no draws, so neither universe's draw
+            # sequence depends on which branch runs.
+            clock = start_ms
+            for event_spec, ops in zip(action.events, plan.events):
+                clock = run_event(event_spec, ops, start_ms, clock)
+        else:
+            looper = looper if looper is not None else Looper()
+            for event_spec in action.events:
+                looper.post(
+                    Message(target=event_spec.name, payload=event_spec,
+                            enqueue_ms=start_ms)
+                )
+
+            def handle(message, dispatch_ms):
+                spec = message.payload
+                if plan is None:
+                    ops = spec.operations
+                else:
+                    ops = plan.ops_for(spec, app.package, self.environment)
+                return run_event(spec, ops, message.enqueue_ms, dispatch_ms)
+
+            looper.dispatch_all(handle, start_ms)
+        if not events:
+            return events, start_ms
+        return events, events[-1].finish_ms + _EVENT_GAP_MS
+
+    def _op_rows(self, op_plan, clock, manifested, duration, pages,
+                 op_execs, rows):
+        """Lay one sampled operation out on the threads it occupies.
+
+        Appends one ``(start_ms, params, frames, op)`` row per segment
+        to *rows*, in timeline order, where *params* is the counter
+        model's row ``(kind, thread, wall_ms, cpu_ms, pages, uarch,
+        wait_chunk_override)``; records the :class:`OperationExecution`
+        in *op_execs*; returns the new main-thread clock.  Makes no
+        draws.
+        """
+        op = op_plan.op
+        if op_plan.on_worker:
+            # Main thread only pays the dispatch; the call itself runs
+            # concurrently on a worker thread (AsyncTask-style).
+            rows.append(
+                (clock, _WORKER_DISPATCH_PARAMS, op_plan.dispatch_frames, op)
+            )
+            thread = WORKER_THREAD
+            start = clock = clock + _WORKER_DISPATCH_MS
+        else:
+            thread = MAIN_THREAD
+            start = clock
+            clock = start + duration
+        rows.append((
+            start,
+            (op_plan.kind, thread, duration, duration * op_plan.cpu_share,
+             pages, op_plan.uarch, op_plan.wait_chunk_ms),
+            op_plan.frames,
+            op,
+        ))
+        if thread == MAIN_THREAD and op_plan.render_share > 0:
+            # The render thread lags the main thread: the UI code first
+            # computes (positions, display lists) and only then commits
+            # frames — which is why the *early* part of a UI action
+            # looks bug-like (main busy, render idle; paper Figure 5).
+            render_lag = _RENDER_LAG_SHARE * duration
+            render_wall = (duration - render_lag) + self.device.vsync_period_ms
+            render_cpu = duration * op_plan.render_share
+            render_pages = int(
+                pages * _RENDER_PAGE_FACTOR_PER_SHARE * op_plan.render_share
+            )
+            rows.append((
+                start + render_lag,
+                (ApiKind.UI, RENDER_THREAD, render_wall, render_cpu,
+                 render_pages, _RENDER_UARCH, None),
+                (),
+                op,
+            ))
+        op_execs.append(
+            OperationExecution(
+                op=op, thread=thread, start_ms=start,
+                end_ms=start + duration, manifested=manifested,
+            )
+        )
+        return clock
+
+    # ------------------------------------------------------------------
+    # Full-mode scalar draws (byte-identity contract).
+
+    def _run_operation(self, rng, dvfs, segments, op_plan, clock, op_execs):
         """Execute one operation; returns the new main-thread clock.
 
         Draw-for-draw identical to the historical inline code: one
@@ -466,7 +526,6 @@ class ExecutionEngine:
         precomputed by the plan), one lognormal for content-size page
         variance, then the counter model's per-segment draws.
         """
-        op = op_plan.op
         manifested = bool(rng.random() < op_plan.manifest_prob)
         if manifested:
             duration = float(
@@ -480,89 +539,39 @@ class ExecutionEngine:
         # depends on the input (bitmap size, list length), not just on
         # the API.
         pages = int(base_pages * rng.lognormal(mean=0.0, sigma=0.6))
-        frames = op_plan.frames
+        rows = []
+        clock = self._op_rows(
+            op_plan, clock, manifested, duration, pages, op_execs, rows
+        )
+        network_bytes = (
+            op_plan.network_bytes
+            if manifested and not op_plan.on_worker else 0
+        )
+        self._draw_rows(rows, rng, dvfs, segments, network_bytes)
+        return clock
 
-        if op_plan.on_worker:
-            # Main thread only pays the dispatch; the call itself runs
-            # concurrently on a worker thread (AsyncTask-style).
-            dispatch_end = clock + _WORKER_DISPATCH_MS
-            timeline.add(fast_segment(
-                MAIN_THREAD, clock, dispatch_end, op_plan.dispatch_frames,
-                self._counts(
-                    ApiKind.LIGHT, MAIN_THREAD, _WORKER_DISPATCH_MS,
-                    _WORKER_DISPATCH_MS * 0.9, 2, _RENDER_UARCH, rng
-                ),
-                op, _WORKER_DISPATCH_MS * 0.9,
-            ))
-            cpu_ms = duration * op_plan.cpu_share
-            timeline.add(fast_segment(
-                WORKER_THREAD, dispatch_end, dispatch_end + duration, frames,
-                self._counts(
-                    op_plan.kind, WORKER_THREAD, duration, cpu_ms, pages,
-                    op_plan.uarch, rng,
-                    wait_chunk_override=op_plan.wait_chunk_ms,
-                ),
-                op, cpu_ms,
-            ))
-            op_execs.append(
-                OperationExecution(
-                    op=op,
-                    thread=WORKER_THREAD,
-                    start_ms=dispatch_end,
-                    end_ms=dispatch_end + duration,
-                    manifested=manifested,
+    def _draw_rows(self, rows, rng, dvfs, segments, network_bytes=0):
+        """Draw each row's counts in scalar order and append its segment.
+
+        A main-thread network call draws its byte count right after
+        the counts of its own segment, the first row.
+        """
+        for start, params, frames, op in rows:
+            counts = self._counts(params, rng, dvfs)
+            if network_bytes:
+                # TrafficStats-style accounting of main-thread sockets
+                # (the paper's footnote-2 extension reads this).
+                counts[NETWORK_BYTES_EVENT] = float(
+                    network_bytes * rng.lognormal(0.0, 0.3)
                 )
-            )
-            return dispatch_end
-
-        cpu_ms = duration * op_plan.cpu_share
-        counts = self._counts(
-            op_plan.kind, MAIN_THREAD, duration, cpu_ms, pages,
-            op_plan.uarch, rng,
-            wait_chunk_override=op_plan.wait_chunk_ms,
-        )
-        if op_plan.network_bytes and manifested:
-            # TrafficStats-style accounting of main-thread sockets
-            # (the paper's footnote-2 extension reads this).
-            counts[NETWORK_BYTES_EVENT] = float(
-                op_plan.network_bytes * rng.lognormal(0.0, 0.3)
-            )
-        timeline.add(fast_segment(
-            MAIN_THREAD, clock, clock + duration, frames, counts, op, cpu_ms,
-        ))
-        if op_plan.render_share > 0:
-            # The render thread lags the main thread: the UI code first
-            # computes (positions, display lists) and only then commits
-            # frames — which is why the *early* part of a UI action
-            # looks bug-like (main busy, render idle; paper Figure 5).
-            render_lag = _RENDER_LAG_SHARE * duration
-            render_wall = (duration - render_lag) + self.device.vsync_period_ms
-            render_cpu = duration * op_plan.render_share
-            render_pages = int(
-                pages * _RENDER_PAGE_FACTOR_PER_SHARE * op_plan.render_share
-            )
-            timeline.add(fast_segment(
-                RENDER_THREAD, clock + render_lag,
-                clock + render_lag + render_wall, (),
-                self._counts(
-                    ApiKind.UI, RENDER_THREAD, render_wall, render_cpu,
-                    render_pages, _RENDER_UARCH, rng
-                ),
-                op, render_cpu,
+                network_bytes = 0
+            segments.append(fast_segment(
+                params[1], start, start + params[2], frames, counts, op,
+                params[3],
             ))
-        op_execs.append(
-            OperationExecution(
-                op=op,
-                thread=MAIN_THREAD,
-                start_ms=clock,
-                end_ms=clock + duration,
-                manifested=manifested,
-            )
-        )
-        return clock + duration
 
-    def _run_operation_reference(self, app, op, clock, rng, timeline,
-                                 op_execs, handler_frame):
+    def _run_operation_reference(self, app, rng, dvfs, segments,
+                                 handler_frame, op, clock, op_execs):
         """The historical per-segment hot loop, retained verbatim for
         ``columnar=False`` engines: frames and the uarch profile are
         recomputed per operation, durations sampled through
@@ -580,31 +589,32 @@ class ExecutionEngine:
 
         if op.on_worker:
             dispatch_end = clock + _WORKER_DISPATCH_MS
-            timeline.add(
+            segments.append(
                 Segment(
                     thread=MAIN_THREAD,
                     start_ms=clock,
                     end_ms=dispatch_end,
                     frames=frames[:2],
                     counts=self._counts(
-                        ApiKind.LIGHT, MAIN_THREAD, _WORKER_DISPATCH_MS,
-                        _WORKER_DISPATCH_MS * 0.9, 2, _RENDER_UARCH, rng
+                        (ApiKind.LIGHT, MAIN_THREAD, _WORKER_DISPATCH_MS,
+                         _WORKER_DISPATCH_MS * 0.9, 2, _RENDER_UARCH, None),
+                        rng, dvfs,
                     ),
                     op=op,
                     cpu_ms=_WORKER_DISPATCH_MS * 0.9,
                 )
             )
             cpu_ms = duration * api.cpu_share
-            timeline.add(
+            segments.append(
                 Segment(
                     thread=WORKER_THREAD,
                     start_ms=dispatch_end,
                     end_ms=dispatch_end + duration,
                     frames=frames,
                     counts=self._counts(
-                        api.kind, WORKER_THREAD, duration, cpu_ms, pages,
-                        api.uarch_profile(), rng,
-                        wait_chunk_override=api.wait_chunk_ms,
+                        (api.kind, WORKER_THREAD, duration, cpu_ms, pages,
+                         api.uarch_profile(), api.wait_chunk_ms),
+                        rng, dvfs,
                     ),
                     op=op,
                     cpu_ms=cpu_ms,
@@ -623,15 +633,15 @@ class ExecutionEngine:
 
         cpu_ms = duration * api.cpu_share
         counts = self._counts(
-            api.kind, MAIN_THREAD, duration, cpu_ms, pages,
-            api.uarch_profile(), rng,
-            wait_chunk_override=api.wait_chunk_ms,
+            (api.kind, MAIN_THREAD, duration, cpu_ms, pages,
+             api.uarch_profile(), api.wait_chunk_ms),
+            rng, dvfs,
         )
         if api.network_bytes and manifested:
             counts[NETWORK_BYTES_EVENT] = float(
                 api.network_bytes * rng.lognormal(0.0, 0.3)
             )
-        timeline.add(
+        segments.append(
             Segment(
                 thread=MAIN_THREAD,
                 start_ms=clock,
@@ -649,15 +659,16 @@ class ExecutionEngine:
             render_pages = int(
                 pages * _RENDER_PAGE_FACTOR_PER_SHARE * api.render_share
             )
-            timeline.add(
+            segments.append(
                 Segment(
                     thread=RENDER_THREAD,
                     start_ms=clock + render_lag,
                     end_ms=clock + render_lag + render_wall,
                     frames=(),
                     counts=self._counts(
-                        ApiKind.UI, RENDER_THREAD, render_wall, render_cpu,
-                        render_pages, _RENDER_UARCH, rng
+                        (ApiKind.UI, RENDER_THREAD, render_wall, render_cpu,
+                         render_pages, _RENDER_UARCH, None),
+                        rng, dvfs,
                     ),
                     op=op,
                     cpu_ms=render_cpu,
@@ -674,77 +685,10 @@ class ExecutionEngine:
         )
         return clock + duration
 
-    def _settle(self, timeline, clock, rng):
-        """Brief post-action settling (render finishing queued frames).
-
-        The settle marks the end of the *action* (the window S-Checker
-        accumulates counters over); the ambient activity that follows —
-        animations, garbage collection, list prefetching — belongs to
-        the app's steady state, not to the action, but it is visible to
-        anything that monitors the process continuously (the paper's
-        utilization baselines sample /proc every 100 ms around the
-        clock, and their low thresholds fire on exactly this kind of
-        ordinary busy window).
-        """
-        settle_ms = float(self.device.vsync_period_ms)
-        render_cpu = settle_ms * 0.2
-        timeline.add(
-            Segment(
-                thread=RENDER_THREAD,
-                start_ms=clock,
-                end_ms=clock + settle_ms,
-                frames=(),
-                counts=self._counts(
-                    ApiKind.UI, RENDER_THREAD, settle_ms, render_cpu, 4,
-                    _RENDER_UARCH, rng
-                ),
-                op=None,
-                cpu_ms=render_cpu,
-            )
-        )
-        end_ms = clock + settle_ms
-        self._ambient(timeline, end_ms, rng)
-        return end_ms
-
-    def _ambient(self, timeline, clock, rng):
-        """Post-action ambient activity (after the action has ended)."""
-        ambient_ms = float(rng.uniform(400.0, 800.0))
-        main_cpu = ambient_ms * _AMBIENT_CPU_SHARE
-        timeline.add(
-            Segment(
-                thread=MAIN_THREAD,
-                start_ms=clock,
-                end_ms=clock + ambient_ms,
-                frames=(),
-                counts=self._counts(
-                    ApiKind.UI, MAIN_THREAD, ambient_ms, main_cpu, 60,
-                    _RENDER_UARCH, rng
-                ),
-                op=None,
-                cpu_ms=main_cpu,
-            )
-        )
-        render_cpu = ambient_ms * 0.15
-        timeline.add(
-            Segment(
-                thread=RENDER_THREAD,
-                start_ms=clock,
-                end_ms=clock + ambient_ms,
-                frames=(),
-                counts=self._counts(
-                    ApiKind.UI, RENDER_THREAD, ambient_ms, render_cpu, 40,
-                    _RENDER_UARCH, rng
-                ),
-                op=None,
-                cpu_ms=render_cpu,
-            )
-        )
-
-    def _counts(self, kind, thread, wall_ms, cpu_ms, pages, uarch, rng,
-                wait_chunk_override=None):
-        # Hot path: a bare counter bump is the only telemetry afforded
-        # here (the no-op makes it one global read when disabled).
-        telemetry().count("sim.counter.segments")
+    def _counts(self, params, rng, dvfs):
+        """Scalar-order counts of one segment row under the action's
+        DVFS factor."""
+        kind, thread, wall_ms, cpu_ms, pages, uarch, wait_chunk = params
         return self.counter_model.segment_counts(
             kind=kind,
             thread=thread,
@@ -753,15 +697,15 @@ class ExecutionEngine:
             pages=pages,
             uarch=uarch,
             rng=rng,
-            wait_chunk_override=wait_chunk_override,
-            dvfs=getattr(self, "_dvfs", None),
+            wait_chunk_override=wait_chunk,
+            dvfs=dvfs,
         )
 
     # ------------------------------------------------------------------
-    # Lazy-mode columnar path.
+    # Lazy-mode pooled draws.
 
-    def _run_action_columnar(self, app, action, plan, start_ms, rng, looper):
-        """Columnar action loop for lazy (event-restricted) engines.
+    def _run_action_lazy(self, app, action, plan, start_ms, rng, looper):
+        """The action model with pooled draws, for lazy engines.
 
         All per-operation draws come from vectors pooled up front
         (manifest uniforms, duration/page/network normals, the ambient
@@ -771,8 +715,6 @@ class ExecutionEngine:
         seed but deliberately not the full-mode scalar sequence (lazy
         mode is its own deterministic universe; see ``docs/perf.md``).
         """
-        device = self.device
-
         # Per-action draw pools, fixed layout: one uniform vector
         # (manifest checks | ambient span) and one standard-normal
         # vector (duration z | pages z | network z when the action has
@@ -786,11 +728,12 @@ class ExecutionEngine:
         pages_off = n_ops
         network_off = 2 * n_ops if plan.has_network else None
 
-        # Segments accumulate as two parallel row lists: *params* rows
-        # feed segment_batch; *builds* rows hold what Segment
-        # construction needs beyond them (start, frames, op, network).
-        params = []
-        builds = []
+        # One row per segment, in timeline order; the counts come from
+        # one batch at the end.
+        rows = []
+        # Row index -> bytes of a main-thread network call; the call's
+        # own row is the first one _op_rows appends for it.
+        network_rows = {}
         op_cursor = [0]
 
         def run_op(op_plan, clock, op_execs):
@@ -819,157 +762,79 @@ class ExecutionEngine:
                 duration = max(0.05, op_plan.fast_ms * math.exp(0.3 * dz))
                 base_pages = op_plan.pages_fast
             pages = int(base_pages * math.exp(0.6 * pz))
-            op = op_plan.op
-            cpu_ms = duration * op_plan.cpu_share
-
-            if op_plan.on_worker:
-                dispatch_end = clock + _WORKER_DISPATCH_MS
-                params.append(_WORKER_DISPATCH_PARAMS)
-                builds.append((clock, op_plan.dispatch_frames, op, None))
-                params.append((
-                    op_plan.kind, WORKER_THREAD, duration, cpu_ms, pages,
-                    op_plan.uarch, op_plan.wait_chunk_ms,
-                ))
-                builds.append((dispatch_end, op_plan.frames, op, None))
-                op_execs.append(
-                    OperationExecution(
-                        op=op, thread=WORKER_THREAD, start_ms=dispatch_end,
-                        end_ms=dispatch_end + duration, manifested=manifested,
-                    )
-                )
-                return dispatch_end
-
-            network = None
-            if op_plan.network_bytes and manifested:
+            if op_plan.network_bytes and manifested and not op_plan.on_worker:
                 if nz is None:
                     nz = float(rng.standard_normal())
-                network = float(op_plan.network_bytes * math.exp(0.3 * nz))
-            params.append((
-                op_plan.kind, MAIN_THREAD, duration, cpu_ms, pages,
-                op_plan.uarch, op_plan.wait_chunk_ms,
-            ))
-            builds.append((clock, op_plan.frames, op, network))
-            if op_plan.render_share > 0:
-                render_lag = _RENDER_LAG_SHARE * duration
-                render_wall = (duration - render_lag) + device.vsync_period_ms
-                render_cpu = duration * op_plan.render_share
-                render_pages = int(
-                    pages * _RENDER_PAGE_FACTOR_PER_SHARE
-                    * op_plan.render_share
+                network_rows[len(rows)] = float(
+                    op_plan.network_bytes * math.exp(0.3 * nz)
                 )
-                params.append((
-                    ApiKind.UI, RENDER_THREAD, render_wall, render_cpu,
-                    render_pages, _RENDER_UARCH, None,
-                ))
-                builds.append((clock + render_lag, (), op, None))
-            op_execs.append(
-                OperationExecution(
-                    op=op, thread=MAIN_THREAD, start_ms=clock,
-                    end_ms=clock + duration, manifested=manifested,
-                )
+            return self._op_rows(
+                op_plan, clock, manifested, duration, pages, op_execs, rows
             )
-            return clock + duration
 
-        events = []
-        if looper is None:
-            # Private looper: the queue would drain FIFO with no
-            # printers installed, so inline the dispatch loop (same
-            # timing semantics as Looper.dispatch_all over one message
-            # per input event, all enqueued at start_ms).
-            finish = start_ms
-            for event_spec, ops in zip(action.events, plan.events):
-                dispatch_ms = finish
-                op_execs = []
-                clock = dispatch_ms
-                for op_plan in ops:
-                    clock = run_op(op_plan, clock, op_execs)
-                events.append(
-                    InputEventExecution(
-                        spec=event_spec, enqueue_ms=start_ms,
-                        dispatch_ms=dispatch_ms, finish_ms=clock,
-                        op_executions=tuple(op_execs),
-                    )
-                )
-                finish = clock
-            clock = finish + _EVENT_GAP_MS if events else start_ms
-        else:
-            for event_spec in action.events:
-                looper.post(
-                    Message(target=event_spec.name, payload=event_spec,
-                            enqueue_ms=start_ms)
-                )
-            op_execs_per_event = []
-
-            def handle(message, dispatch_ms):
-                clock = dispatch_ms
-                op_execs = []
-                for op_plan in plan.ops_for(
-                    message.payload, app.package, self.environment
-                ):
-                    clock = run_op(op_plan, clock, op_execs)
-                op_execs_per_event.append(tuple(op_execs))
-                return clock
-
-            records = looper.dispatch_all(handle, start_ms)
-            clock = start_ms
-            for record, op_execs in zip(records, op_execs_per_event):
-                events.append(
-                    InputEventExecution(
-                        spec=record.message.payload,
-                        enqueue_ms=record.message.enqueue_ms,
-                        dispatch_ms=record.dispatch_ms,
-                        finish_ms=record.finish_ms,
-                        op_executions=op_execs,
-                    )
-                )
-                clock = record.finish_ms + _EVENT_GAP_MS
-
-        # Settle + ambient, same shapes as the scalar path.
-        settle_ms = self._settle_ms
-        params.append(self._settle_params)
-        builds.append((clock, (), None, None))
-        end_ms = clock + settle_ms
-        ambient_cpu = ambient_ms * _AMBIENT_CPU_SHARE
-        params.append((
-            ApiKind.UI, MAIN_THREAD, ambient_ms, ambient_cpu, 60,
-            _RENDER_UARCH, None,
-        ))
-        builds.append((end_ms, (), None, None))
-        params.append((
-            ApiKind.UI, RENDER_THREAD, ambient_ms, ambient_ms * 0.15, 40,
-            _RENDER_UARCH, None,
-        ))
-        builds.append((end_ms, (), None, None))
-
-        counts_list = self.counter_model.segment_batch(params, rng=rng)
-        segments = []
-        for row, build, counts in zip(params, builds, counts_list):
-            network = build[3]
-            if network is not None:
-                counts[NETWORK_BYTES_EVENT] = network
-            start = build[0]
-            segments.append(fast_segment(
-                row[1], start, start + row[2], build[1], counts, build[2],
-                row[3],
-            ))
-        timeline = Timeline()
-        timeline.add_batch(segments)
-
-        tel = telemetry()
-        if tel.enabled:
-            tel.count("sim.counter.segments", len(params))
-            tel.count("sim.actions.executed")
-            tel.count("sim.events.dispatched", len(events))
-            tel.record_span(
-                "sim.action.execute", start_ms, end_ms,
-                app=app.name, action=action.name, events=len(events),
-                hang=any(event.is_soft_hang for event in events),
-            )
-        return ActionExecution(
-            app=app,
-            action=action,
-            start_ms=start_ms,
-            end_ms=end_ms,
-            events=tuple(events),
-            timeline=timeline,
+        events, clock = self._dispatch(
+            app, action, plan, start_ms, looper, run_op
         )
+        end_ms = clock + self._settle_ms
+        rows.append((clock, self._settle_params, (), None))
+        rows.extend(_ambient_rows(end_ms, ambient_ms))
+
+        counts_list = self.counter_model.segment_batch(
+            [row[1] for row in rows], rng=rng
+        )
+        for index, network in network_rows.items():
+            counts_list[index][NETWORK_BYTES_EVENT] = network
+        segments = [
+            fast_segment(
+                params[1], start, start + params[2], frames, counts, op,
+                params[3],
+            )
+            for (start, params, frames, op), counts in zip(rows, counts_list)
+        ]
+        return _execution(app, action, start_ms, end_ms, events, segments)
+
+
+def _ambient_rows(end_ms, ambient_ms):
+    """Post-action ambient activity: a main and a render row starting
+    at the action's end.
+
+    Animations, garbage collection and list prefetching belong to the
+    app's steady state, not to the action, but they are visible to
+    anything that monitors the process continuously (the paper's
+    utilization baselines sample /proc every 100 ms around the clock,
+    and their low thresholds fire on exactly this kind of ordinary busy
+    window).
+    """
+    return (
+        (end_ms, (ApiKind.UI, MAIN_THREAD, ambient_ms,
+                  ambient_ms * _AMBIENT_CPU_SHARE, 60, _RENDER_UARCH, None),
+         (), None),
+        (end_ms, (ApiKind.UI, RENDER_THREAD, ambient_ms, ambient_ms * 0.15,
+                  40, _RENDER_UARCH, None),
+         (), None),
+    )
+
+
+def _execution(app, action, start_ms, end_ms, events, segments):
+    """Ingest an action's segments and assemble its
+    :class:`ActionExecution` (plus the sim telemetry block)."""
+    timeline = Timeline()
+    timeline.add_batch(segments)
+    tel = telemetry()
+    if tel.enabled:
+        tel.count("sim.counter.segments", len(segments))
+        tel.count("sim.actions.executed")
+        tel.count("sim.events.dispatched", len(events))
+        tel.record_span(
+            "sim.action.execute", start_ms, end_ms,
+            app=app.name, action=action.name, events=len(events),
+            hang=any(event.is_soft_hang for event in events),
+        )
+    return ActionExecution(
+        app=app,
+        action=action,
+        start_ms=start_ms,
+        end_ms=end_ms,
+        events=tuple(events),
+        timeline=timeline,
+    )

@@ -16,7 +16,7 @@ a running maximum of segment ends, so windowed ``total``/``cpu_ms``
 reads touch only the segments that can overlap the window, and
 ``stack_at``/``segment_at`` stop their backward walk as soon as no
 earlier segment can still cover the instant.  Unwindowed totals are
-maintained incrementally on :meth:`Timeline.add` and read in O(1) —
+maintained incrementally on ingest and read in O(1) —
 long-session monitors query totals per action, so unbounded scans were
 quadratic in session length.
 """
@@ -82,7 +82,7 @@ def fast_segment(thread, start_ms, end_ms, frames, counts, op, cpu_ms):
 
     A frozen dataclass routes every field through
     ``object.__setattr__`` and runs ``__post_init__`` validation; on
-    the engine's columnar path, which builds segments from already
+    the engine's hot path, which builds segments from already
     start-ordered rows with ``end_ms = start_ms + wall``, that is pure
     overhead.  Callers must guarantee ``end_ms >= start_ms``.
     """
@@ -113,34 +113,14 @@ class Timeline:
 
     def add(self, segment):
         """Append a segment (segments per thread must be time-ordered)."""
-        thread = segment.thread
-        per_thread = self._segments.setdefault(thread, [])
-        starts = self._starts.setdefault(thread, [])
-        cummax = self._cummax_ends.setdefault(thread, [])
-        if per_thread and segment.start_ms < starts[-1]:
-            raise ValueError(
-                f"segments on {thread!r} must be added in start order"
-            )
-        per_thread.append(segment)
-        starts.append(segment.start_ms)
-        cummax.append(
-            segment.end_ms if not cummax else max(cummax[-1], segment.end_ms)
-        )
-        totals = self._event_totals.setdefault(thread, {})
-        for event, value in segment.counts.items():
-            totals[event] = totals.get(event, 0.0) + value
-        self._cpu_totals[thread] = (
-            self._cpu_totals.get(thread, 0.0) + segment.cpu_ms
-        )
+        self.add_batch((segment,))
         return segment
 
     def add_batch(self, segments):
-        """Append many segments, amortising per-thread bookkeeping.
+        """Append segments in per-thread start order.
 
-        Same ordering contract as :meth:`add` (per-thread start order);
-        the per-thread index arrays and running totals are looked up
-        once per segment instead of via repeated ``setdefault`` calls —
-        this is the engine's columnar ingest path.
+        The one ingest path: each segment extends its thread's start
+        index, running maximum of ends, event totals and CPU total.
         """
         seg_map = self._segments
         starts_map = self._starts
@@ -277,6 +257,5 @@ class Timeline:
 
     def merge(self, other):
         """Append all segments of *other* (must not rewind any thread)."""
-        for segment in other.segments():
-            self.add(segment)
+        self.add_batch(other.segments())
         return self
