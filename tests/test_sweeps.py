@@ -62,7 +62,7 @@ def _digest(result):
     return hashlib.sha256(result.render().encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_render_matches_pinned_digest(device, name, workers):
     sweep, params, digest = SWEEPS[name]
