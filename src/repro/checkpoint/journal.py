@@ -42,7 +42,7 @@ from repro.telemetry import current as _telemetry_current
 
 #: Journal layout version (bumped on incompatible changes; a mismatch
 #: resets the journal, never misreads it).
-JOURNAL_SCHEMA = 1
+JOURNAL_SCHEMA = 2
 
 
 def run_key(*parts):

@@ -43,31 +43,6 @@ class BlockingApiDatabase:
         self._added_at_runtime.append(qualified_name)
         return True
 
-    def merge(self, other):
-        """Fold another database's knowledge into this one.
-
-        Names dedupe **case-sensitively** by exact qualified-name match
-        (``a.B.c`` and ``a.b.c`` are different APIs — Java identifiers
-        are case-sensitive, and folding case would silently alias
-        them).  Merged names are *not* marked as runtime discoveries of
-        this database — they were discovered elsewhere — but the other
-        database's own discovery list is appended (first-seen order,
-        duplicates dropped) so provenance survives crowd publishing.
-
-        Returns the number of names that were new to this database.
-        """
-        added = 0
-        for name in other.sorted_names():
-            if name not in self._names:
-                self._names.add(name)
-                added += 1
-        known_discoveries = set(self._added_at_runtime)
-        for name in other.runtime_discoveries():
-            if name not in known_discoveries:
-                known_discoveries.add(name)
-                self._added_at_runtime.append(name)
-        return added
-
     def runtime_discoveries(self):
         """Qualified names added at runtime, in discovery order."""
         return list(self._added_at_runtime)

@@ -20,12 +20,12 @@ on-device monitoring must survive its own persistence failing.
 
 Writing is the dual half of that contract: every state write in the
 repo goes through :func:`atomic_write_text` /
-:func:`atomic_write_bytes` (temp file + ``fsync`` + ``os.replace``),
-so a crash mid-write can only ever lose the *new* state — the
-destination either holds the complete old payload or the complete new
-one, never a torn mixture.  The ``torn_write`` fault channel
-(:class:`~repro.faults.FaultPlan.torn_write_rate`) simulates dying
-mid-write to prove exactly that.
+:func:`atomic_write_bytes` (temp file + ``fsync`` + ``os.replace`` +
+directory ``fsync``), so a crash mid-write can only ever lose the
+*new* state — the destination either holds the complete old payload
+or the complete new one, never a torn mixture.  The ``torn_write``
+fault channel (:class:`~repro.faults.FaultPlan.torn_write_rate`)
+simulates dying mid-write to prove exactly that.
 """
 
 import json
@@ -39,12 +39,28 @@ from repro.core.report import DegradationRecord, HangBugReport, ReportEntry
 SCHEMA_VERSION = 1
 
 
+def fsync_directory(path):
+    """Make the entries of directory *path* durable.
+
+    POSIX makes a rename or a file creation durable only once its
+    directory is fsynced; until then a power loss may undo it even
+    though the file's own data was synced.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def atomic_write_bytes(path, data, faults=None, label=None):
     """Crash-atomically write *data* to *path*.
 
     The payload lands in a same-directory temp file, is fsynced, and
     only then renamed over the destination — the two states a crash
     can leave behind are "old file intact" and "new file complete".
+    The directory is fsynced after the rename, so once this returns
+    the new file survives a power loss too.
 
     A :class:`~repro.faults.FaultInjector` with a nonzero
     ``torn_write_rate`` may simulate the crash: the temp file is left
@@ -80,6 +96,7 @@ def atomic_write_bytes(path, data, faults=None, label=None):
         except OSError:
             pass
         raise
+    fsync_directory(path.parent)
 
 
 def atomic_write_text(path, text, faults=None, label=None):

@@ -76,10 +76,6 @@ class ActionStateMachine:
         """Current state of *uid*."""
         return self._records[uid].state
 
-    def uids(self):
-        """All registered UIDs."""
-        return sorted(self._records)
-
     def transition(self, uid, target, component, time_ms=0.0):
         """Move *uid* to *target*; raises on an illegal transition."""
         record = self._records[uid]

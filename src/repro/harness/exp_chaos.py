@@ -9,14 +9,13 @@ detection quality survives when the monitors are flaky?*
 For each fault rate the sweep deploys Hang Doctor on a set of catalog
 apps exactly the way the Table 5 fleet study does — per-app seeds via
 :func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
-generator, one :func:`~repro.detectors.runner.run_detector` pass per
-user — but with a :class:`~repro.faults.FaultPlan` (scaled by the
-rate) attached, then reports the precision/recall/overhead degradation
-curve against the fault-free (rate 0) row.  Because every app's run is
-a pure function of (device, root seed, rate, app), the sweep shards
-per (rate, app) across worker processes through
-:mod:`repro.sched`, and any ``--workers`` count yields
-byte-identical output.
+generator, the same :func:`~repro.harness.exp_fleet.deploy` — but
+with a :class:`~repro.faults.FaultPlan` (scaled by the rate) attached,
+then reports the precision/recall/overhead degradation curve against
+the fault-free (rate 0) row.  Because every app's run is a pure
+function of (device, root seed, rate, app), the sweep shards per
+(rate, app) across worker processes through :mod:`repro.sched`, and
+any ``--workers`` count yields byte-identical output.
 
 At rate 0 the fault layer draws no random numbers and injects nothing,
 so the rate-0 cells reproduce the fault-free per-app Table 5
@@ -33,16 +32,13 @@ from typing import List, Optional, Tuple
 from repro.analysis.metrics import ConfusionCounts, detected_bug_sites
 from repro.apps.catalog import get_app
 from repro.apps.sessions import SessionGenerator
-from repro.core.hang_doctor import HangDoctor
 from repro.core.persistence import load_report, report_to_json
-from repro.detectors.runner import DetectorRun, run_detector
 from repro.faults import FaultPlan
 from repro.harness.exp_comparison import FIGURE8_APPS
-from repro.harness.exp_fleet import fleet_app_seed
+from repro.harness.exp_fleet import deploy, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.sched import ElasticScheduler
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 #: Default fault-rate grid of the sweep.
@@ -92,22 +88,6 @@ class ChaosResult:
     execution: Optional[ExecutionReport] = field(
         default=None, compare=False, repr=False
     )
-
-    @classmethod
-    def merge(cls, parts):
-        """Recombine shard results in submission order."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("need at least one ChaosResult to merge")
-        cells = []
-        for part in parts:
-            cells.extend(part.cells)
-        rates = []
-        for part in parts:
-            for rate in part.rates:
-                if rate not in rates:
-                    rates.append(rate)
-        return cls(cells=cells, rates=tuple(rates), apps=parts[0].apps)
 
     def row(self, rate):
         """Aggregate one rate's cells across apps."""
@@ -178,8 +158,8 @@ def _chaos_cell(payload):
     """Deploy Hang Doctor on one app at one fault rate (module-level so
     the process pool can pickle it); returns a :class:`ChaosCell`.
 
-    Mirrors :func:`repro.harness.exp_fleet._run_fleet_app` exactly —
-    same engine/seed/session structure — so the rate-0 cell reproduces
+    Deploys through :func:`repro.harness.exp_fleet.deploy` with the
+    fleet study's seeds and sessions, so the rate-0 cell reproduces
     the fleet study's fault-free numbers bit-for-bit.
     """
     device, seed, rate, app_name, users, actions_per_user = payload
@@ -187,22 +167,11 @@ def _chaos_cell(payload):
     with tel.track(f"chaos/rate{rate:g}/{app_name}"):
         tel.count("chaos.cells")
         app = get_app(app_name)
-        plan = FaultPlan.uniform(rate)
-        app_seed = fleet_app_seed(seed, app_name)
-        doctor = HangDoctor(app, device, seed=app_seed, faults=plan)
-        engine = ExecutionEngine(
-            device, seed=app_seed, monitored=doctor.config.filter_events()
+        sessions = SessionGenerator(seed=seed).fleet_sessions(
+            app, users, actions_per_user
         )
-        generator = SessionGenerator(seed=seed)
-        runs = []
-        for session in generator.fleet_sessions(app, users,
-                                                actions_per_user):
-            executions = engine.run_session(
-                app, session.action_names, gap_ms=1000.0
-            )
-            runs.append(run_detector(doctor, executions,
-                                     device_id=session.user_id))
-        run = DetectorRun.merge(runs)
+        doctor, run = deploy(app, device, fleet_app_seed(seed, app_name),
+                             sessions, faults=FaultPlan.uniform(rate))
         counts = run.confusion()
         # End-of-deployment upload: persist the report and reload it
         # through the same fault injector (a crash mid-write corrupts
@@ -238,7 +207,7 @@ def chaos_sweep(device, seed=0, rates=DEFAULT_RATES, apps=None, users=2,
     any worker count yields byte-identical output.  ``checkpoint``
     names a journal directory where each completed cell is persisted
     the moment it finishes; with ``resume`` a restarted sweep skips
-    the journaled cells, and the merged result is byte-identical to an
+    the journaled cells, and the result is byte-identical to an
     uninterrupted run.  ``report`` (an
     :class:`~repro.parallel.ExecutionReport`) collects supervision
     events — it is also attached to the result as ``execution``.

@@ -98,16 +98,6 @@ class Figure8Result:
 
     apps: List[Figure8AppResult]
 
-    @classmethod
-    def merge(cls, parts):
-        """Recombine per-app shard results in submission order."""
-        apps = []
-        for part in parts:
-            apps.extend(
-                part.apps if isinstance(part, Figure8Result) else [part]
-            )
-        return cls(apps=apps)
-
     def detector_names(self):
         """Detectors present, in the canonical order where known."""
         present = list(self.apps[0].confusion)

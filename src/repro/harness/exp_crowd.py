@@ -110,24 +110,6 @@ class CrowdSweepResult:
         default=None, compare=False, repr=False
     )
 
-    @classmethod
-    def merge(cls, parts):
-        """Recombine shard results (disjoint fleet-size slices) in
-        submission order."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("need at least one CrowdSweepResult to merge")
-        cells = []
-        fleet_sizes = []
-        for part in parts:
-            cells.extend(part.cells)
-            for size in part.fleet_sizes:
-                if size not in fleet_sizes:
-                    fleet_sizes.append(size)
-        return cls(cells=cells, fleet_sizes=tuple(fleet_sizes),
-                   apps=parts[0].apps, rounds=parts[0].rounds,
-                   fault_rate=parts[0].fault_rate)
-
     def cell(self, fleet_size):
         """The cell for one fleet size."""
         for cell in self.cells:

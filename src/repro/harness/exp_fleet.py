@@ -13,12 +13,16 @@ hangs).  Paper: context-switches 18/23, task-clock 12/23, page-faults
 
 The fleet study decomposes at *app* granularity: each app's simulated
 deployment depends only on (device, root seed, app), thanks to the
-per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` shards
-the corpus across worker processes (``workers=N``) through
-:mod:`repro.sched`; shard results are partial
-:class:`Table5Result` objects recombined by :meth:`Table5Result.merge`,
-so the parallel output is bit-identical to the serial one regardless
-of worker count.
+per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` packs
+the corpus by session weight into one shard per worker
+(``workers=N``) and dispatches them through :mod:`repro.sched`; every
+app comes back as one cell, and the result is built once from the
+cells in corpus order, so the parallel output is bit-identical to the
+serial one regardless of worker count.
+
+:func:`deploy` is the one deployment path every deployment sweep
+shares: Table 5, the scenario sweep, the chaos sweep, and the crowd
+and stream rounds.
 """
 
 import math
@@ -34,11 +38,11 @@ from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.config import HangDoctorConfig
 from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
-from repro.detectors.runner import run_detector
+from repro.detectors.runner import DetectorRun, run_detector
 from repro.harness.tables import render_table
 from repro.harness.training import validation_firings
-from repro.parallel import ExecutionReport, chunk_indices, resolve_workers
-from repro.sched import ElasticScheduler
+from repro.parallel import ExecutionReport, resolve_workers
+from repro.sched import ElasticScheduler, pack_by_weight
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
@@ -55,6 +59,32 @@ def fleet_app_seed(seed, app_name):
     execute on any worker in any order.
     """
     return substream_seed(seed, "fleet", app_name)
+
+
+def deploy(app, device, seed, sessions, **doctor_options):
+    """Deploy Hang Doctor on *app* for *sessions*; returns ``(doctor, run)``.
+
+    The doctor is seeded with *seed* and built with *doctor_options*
+    (``config``, ``blocking_db``, ``faults``, ``crowd_kb``); its engine
+    shares the seed and simulates only the events the doctor's filter
+    reads.  Each session runs with one-second gaps between actions,
+    on the device of the session's user, and *run* is one
+    :class:`~repro.detectors.runner.DetectorRun` over all of them
+    (empty when there are no sessions).
+    """
+    doctor = HangDoctor(app, device, seed=seed, **doctor_options)
+    engine = ExecutionEngine(
+        device, seed=seed, monitored=doctor.config.filter_events()
+    )
+    runs = [
+        run_detector(
+            doctor,
+            engine.run_session(app, session.action_names, gap_ms=1000.0),
+            device_id=session.user_id,
+        )
+        for session in sessions
+    ]
+    return doctor, DetectorRun.merge([DetectorRun(doctor.name), *runs])
 
 
 @dataclass
@@ -108,38 +138,6 @@ class Table5Result:
             return float("nan")
         return 100.0 * self.total_missed_offline / self.total_detected
 
-    @classmethod
-    def merge(cls, parts):
-        """Recombine partial results from corpus shards.
-
-        Rows concatenate in shard order (shards are contiguous corpus
-        slices, so this restores corpus order); counters sum; runtime
-        blocking-API discoveries deduplicate first-seen-first — each
-        shard grows its own database from the same initial state, so
-        dropping repeats reproduces exactly what one shared database
-        would have recorded serially.
-        """
-        parts = list(parts)
-        rows = []
-        apps_tested = 0
-        clean_flagged = 0
-        seen = set()
-        discoveries = []
-        for part in parts:
-            rows.extend(part.rows)
-            apps_tested += part.apps_tested
-            clean_flagged += part.clean_apps_flagged
-            for name in part.new_blocking_apis:
-                if name not in seen:
-                    seen.add(name)
-                    discoveries.append(name)
-        return cls(
-            rows=rows,
-            apps_tested=apps_tested,
-            clean_apps_flagged=clean_flagged,
-            new_blocking_apis=discoveries,
-        )
-
     def render(self):
         """ASCII rendering of the result."""
         rows = [
@@ -169,82 +167,71 @@ class Table5Result:
         )
 
 
-def _run_fleet_app(app, device, seed, users, actions_per_user, config,
-                   generator, scanner, blocking_db):
-    """Deploy Hang Doctor on one app of the corpus.
+def _table5_plan(apps, users, actions_per_user, bins):
+    """``(shapes, groups)`` of the corpus *apps*.
 
-    Returns ``(row, clean_flagged)``: a :class:`Table5Row` for catalog
-    (bug-bearing) apps or ``None`` for generated clean ones, plus 1 if
-    a clean app was wrongly flagged.
+    Each app's shape is its ``(users, actions per user)``: catalog
+    (bug-bearing) apps get the full user base, clean apps half the
+    users (at least one) and a third of the actions.  The groups pack
+    the corpus into at most *bins* by session weight (users × actions
+    per user) with deterministic LPT.
     """
-    app_seed = fleet_app_seed(seed, app.name)
-    doctor = HangDoctor(
-        app, device, config=config, blocking_db=blocking_db, seed=app_seed,
+    shapes = [
+        (users, actions_per_user) if app.hang_bug_operations()
+        else (max(1, users // 2), actions_per_user // 3)
+        for app in apps
+    ]
+    groups = pack_by_weight(
+        [app_users * per_user for app_users, per_user in shapes], bins
     )
-    engine = ExecutionEngine(
-        device, seed=app_seed, monitored=doctor.config.filter_events()
-    )
-    detections = []
-    is_catalog = bool(app.hang_bug_operations())
-    app_users = users if is_catalog else max(1, users // 2)
-    per_user = actions_per_user if is_catalog else actions_per_user // 3
-    for session in generator.fleet_sessions(app, app_users, per_user):
-        executions = engine.run_session(
-            app, session.action_names, gap_ms=1000.0
-        )
-        run = run_detector(doctor, executions, device_id=session.user_id)
-        detections.extend(run.detections)
-    detected_sites = detected_bug_sites(app, detections)
-    if not is_catalog:
-        return None, (1 if detections else 0)
-    offline_sites = scanner.detected_sites(app)
-    missed = [s for s in detected_sites if s not in offline_sites]
-    row = Table5Row(
-        app_name=app.name,
-        category=app.category,
-        downloads=app.downloads,
-        commit=app.commit,
-        issue_id=app.issue_id or 0,
-        bugs_detected=len(detected_sites),
-        missed_offline=len(missed),
-        ground_truth_bugs=len(app.hang_bug_operations()),
-    )
-    return row, 0
+    return shapes, groups
 
 
 def _table5_shard(payload):
-    """Run one contiguous slice of the corpus (module-level so the
-    process pool can pickle it); returns a partial :class:`Table5Result`."""
-    (device, seed, users, actions_per_user, corpus_size, config,
-     indices) = payload
-    apps = build_corpus(seed=seed, size=corpus_size)
+    """Deploy Hang Doctor on one packed group of the corpus
+    (module-level so the process pool can pickle it).
+
+    The group holds ``(index, app, (users, actions_per_user))``
+    triples.  Returns one ``(index, row, clean_flagged, discoveries)``
+    cell per app: a :class:`Table5Row` for catalog (bug-bearing) apps
+    or ``None`` for clean ones, 1 if a clean app was wrongly flagged,
+    and the blocking APIs the app's own database added at runtime.
+    """
+    device, seed, config, group = payload
     generator = SessionGenerator(seed=seed)
-    blocking_db = BlockingApiDatabase.initial()
-    scanner = OfflineScanner(blocking_db=BlockingApiDatabase(
-        blocking_db.names()
-    ))
-    rows = []
-    clean_flagged = 0
+    scanner = OfflineScanner()
+    cells = []
     tel = telemetry()
-    for index in indices:
+    for index, app, (users, actions_per_user) in group:
         # Track per app, not per shard: Table 5 shards are worker-count
-        # slices, so shard-derived names would break the byte-identity
+        # packings, so shard-derived names would break the byte-identity
         # of traces across --workers.
-        with tel.track(f"fleet/{apps[index].name}"):
+        with tel.track(f"fleet/{app.name}"):
             tel.count("fleet.apps.run")
-            row, flagged = _run_fleet_app(
-                apps[index], device, seed, users, actions_per_user,
-                config, generator, scanner, blocking_db,
+            doctor, run = deploy(
+                app, device, fleet_app_seed(seed, app.name),
+                generator.fleet_sessions(app, users, actions_per_user),
+                config=config, blocking_db=BlockingApiDatabase.initial(),
             )
-        if row is not None:
-            rows.append(row)
-        clean_flagged += flagged
-    return Table5Result(
-        rows=rows,
-        apps_tested=len(indices),
-        clean_apps_flagged=clean_flagged,
-        new_blocking_apis=blocking_db.runtime_discoveries(),
-    )
+            detections = run.detections
+            discoveries = doctor.blocking_db.runtime_discoveries()
+            if not app.hang_bug_operations():
+                cells.append((index, None, 1 if detections else 0,
+                              discoveries))
+                continue
+            detected = detected_bug_sites(app, detections)
+            row = Table5Row(
+                app_name=app.name,
+                category=app.category,
+                downloads=app.downloads,
+                commit=app.commit,
+                issue_id=app.issue_id or 0,
+                bugs_detected=len(detected),
+                missed_offline=len(detected - scanner.detected_sites(app)),
+                ground_truth_bugs=len(app.hang_bug_operations()),
+            )
+            cells.append((index, row, 0, discoveries))
+    return cells
 
 
 def table5(device, seed=0, users=4, actions_per_user=60,
@@ -252,15 +239,20 @@ def table5(device, seed=0, users=4, actions_per_user=60,
            resume=False, report=None):
     """Reproduce Table 5's fleet study (scaled-down user base).
 
-    ``workers`` shards the corpus across processes; any worker count
+    ``workers`` packs the corpus by session weight (users × actions
+    per user) into at most one shard per worker; any worker count
     yields byte-identical results (per-app seeds make every app's run
-    independent of corpus position and shard assignment).
-    ``checkpoint``/``resume`` journal completed corpus shards so a
-    killed run restarts where it left off; shards are worker-count
-    slices, so a resume only reuses the journal when ``workers``
-    matches (anything else re-runs from scratch, never mixes slices).
-    ``report`` collects supervision events (also attached to the
-    result as ``execution``).
+    independent of corpus position and shard assignment, and the
+    result is built from the cells in corpus order).  Each app grows
+    its own blocking-API database from the shipped one; deduplicating
+    their discoveries first-seen in corpus order gives exactly the
+    list one shared database records serially.
+    ``checkpoint``/``resume`` journal completed shards so a killed run
+    restarts where it left off; shards are worker-count packings, so a
+    resume only reuses the journal when ``workers`` matches (anything
+    else re-runs from scratch, never mixes packings).  ``report``
+    collects supervision events (also attached to the result as
+    ``execution``).
     """
     scheduler = ElasticScheduler.for_sweep(
         "table5", device.name, seed, users, actions_per_user, corpus_size,
@@ -268,15 +260,29 @@ def table5(device, seed=0, users=4, actions_per_user=60,
         workers=workers, checkpoint=checkpoint, resume=resume,
         report=report,
     )
-    slices = chunk_indices(corpus_size, scheduler.workers)
+    apps = build_corpus(seed=seed, size=corpus_size)
+    shapes, groups = _table5_plan(apps, users, actions_per_user,
+                                  scheduler.workers)
     shards = [
-        (device, seed, users, actions_per_user, corpus_size, config, indices)
-        for indices in slices
+        (device, seed, config,
+         [(index, apps[index], shapes[index]) for index in group])
+        for group in groups
     ]
-    keys = [f"t5|{indices[0]}-{indices[-1]}" for indices in slices]
-    result = Table5Result.merge(scheduler.map(_table5_shard, shards, keys))
-    result.execution = scheduler.report
-    return result
+    keys = [f"t5|{group[0]}-{group[-1]}x{len(group)}" for group in groups]
+    cells = sorted(
+        (cell for shard in scheduler.map(_table5_shard, shards, keys)
+         for cell in shard),
+        key=lambda cell: cell[0],
+    )
+    return Table5Result(
+        rows=[row for _, row, _, _ in cells if row is not None],
+        apps_tested=len(cells),
+        clean_apps_flagged=sum(flagged for _, _, flagged, _ in cells),
+        new_blocking_apis=list(dict.fromkeys(
+            name for _, _, _, discoveries in cells for name in discoveries
+        )),
+        execution=scheduler.report,
+    )
 
 
 @dataclass

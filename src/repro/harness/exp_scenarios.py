@@ -4,9 +4,9 @@ Deploys Hang Doctor on a taxonomy-generated fleet
 (:mod:`repro.scenarios`) exactly the way the Table 5 study deploys it
 on the paper corpus — per-app seeds via
 :func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
-generator, one :func:`~repro.detectors.runner.run_detector` pass per
-user — and scores every app against its archetype's ground truth,
-producing a precision/recall/false-positive table per archetype.
+generator, the same :func:`~repro.harness.exp_fleet.deploy` — and
+scores every app against its archetype's ground truth, producing a
+precision/recall/false-positive table per archetype.
 
 Scoring (all at the granularity the paper's Table 5 uses):
 
@@ -25,9 +25,9 @@ root seed, app).  Shards pack by *weight*, not count — archetypes
 cost different amounts to simulate, so the elastic scheduler's cost
 model (:mod:`repro.sched.cost`) prices each index by its archetype
 and :func:`~repro.sched.pack_by_weight` balances the load across
-workers.  Merging sorts cells back into fleet order, so any
-``--workers`` count, packing, checkpoint resume, or repeat run
-renders byte-identical output.
+workers.  The result is built once from the cells sorted back into
+fleet order, so any ``--workers`` count, packing, checkpoint resume,
+or repeat run renders byte-identical output.
 """
 
 import math
@@ -40,10 +40,8 @@ from repro.analysis.metrics import (
 )
 from repro.apps.sessions import SessionGenerator
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
-from repro.detectors.runner import run_detector
-from repro.harness.exp_fleet import fleet_app_seed
+from repro.harness.exp_fleet import deploy, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport, resolve_workers
 from repro.scenarios import (
@@ -56,7 +54,6 @@ from repro.scenarios import (
     render_mix,
 )
 from repro.sched import CostModel, ElasticScheduler, pack_by_weight
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 
@@ -94,27 +91,6 @@ class ScenarioResult:
     execution: Optional[ExecutionReport] = field(
         default=None, compare=False, repr=False
     )
-
-    @classmethod
-    def merge(cls, parts):
-        """Recombine shard results into fleet order.
-
-        Shards are weight-balanced index *sets* (not contiguous
-        slices), so cells are sorted by fleet index — which makes the
-        merge independent of packing, worker count, and part order.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("need at least one ScenarioResult to merge")
-        cells = []
-        for part in parts:
-            cells.extend(part.cells)
-        cells.sort(key=lambda cell: cell.index)
-        first = parts[0]
-        return cls(
-            cells=cells, size=first.size, mix=first.mix,
-            users=first.users, actions_per_user=first.actions_per_user,
-        )
 
     def archetypes(self):
         """Archetype names present, in taxonomy order."""
@@ -202,30 +178,17 @@ def _run_scenario_app(entry, device, seed, users, actions_per_user,
                       config, generator, scanner, blocking_db):
     """Deploy Hang Doctor on one generated app; returns a ScenarioCell.
 
-    Mirrors :func:`repro.harness.exp_fleet._run_fleet_app` — same
-    engine/seed/session structure — so scenario numbers are directly
-    comparable to the Table 5 fleet study's.
+    Deploys through :func:`repro.harness.exp_fleet.deploy` with the
+    fleet study's per-app seeds and session structure, so scenario
+    numbers are directly comparable to the Table 5 fleet study's.
     """
     app = entry.app
-    app_seed = fleet_app_seed(seed, app.name)
-    doctor = HangDoctor(
-        app, device, config=config, blocking_db=blocking_db,
-        seed=app_seed,
+    _, run = deploy(
+        app, device, fleet_app_seed(seed, app.name),
+        generator.fleet_sessions(app, users, actions_per_user),
+        config=config, blocking_db=blocking_db,
     )
-    engine = ExecutionEngine(
-        device, seed=app_seed, monitored=doctor.config.filter_events()
-    )
-    detections = []
-    hangs = 0
-    for session in generator.fleet_sessions(app, users, actions_per_user):
-        executions = engine.run_session(
-            app, session.action_names, gap_ms=1000.0
-        )
-        run = run_detector(doctor, executions, device_id=session.user_id)
-        detections.extend(run.detections)
-        hangs += sum(
-            1 for execution in executions if execution.has_soft_hang
-        )
+    detections = run.detections
     detected = detected_bug_sites(app, detections)
     offline = scanner.detected_sites(app)
     return ScenarioCell(
@@ -236,27 +199,27 @@ def _run_scenario_app(entry, device, seed, users, actions_per_user,
         detected_sites=len(detected),
         offline_sites=len(detected & offline),
         fp_actions=len(false_positive_actions(app, detections)),
-        hangs=hangs,
+        hangs=sum(
+            1 for execution in run.executions if execution.has_soft_hang
+        ),
         detections=len(detections),
     )
 
 
 def _scenario_shard(payload):
-    """Run one contiguous slice of the fleet (module-level so the
-    process pool can pickle it); returns a partial ScenarioResult."""
+    """Run one weight-packed group of the fleet (module-level so the
+    process pool can pickle it); returns its ScenarioCell list."""
     (device, seed, size, mix, users, actions_per_user, config,
      indices) = payload
     fleet = generate_fleet(size, mix=mix, seed=seed, indices=indices)
     generator = SessionGenerator(seed=seed)
     blocking_db = BlockingApiDatabase.initial()
-    scanner = OfflineScanner(
-        blocking_db=BlockingApiDatabase(blocking_db.names())
-    )
+    scanner = OfflineScanner()
     cells = []
     tel = telemetry()
     for entry in fleet:
         # Track per app, not per shard: shards are worker-count
-        # slices, so shard-derived names would break trace
+        # packings, so shard-derived names would break trace
         # byte-identity across --workers.
         with tel.track(f"scenarios/{entry.app.name}"):
             tel.count("scenarios.apps.run")
@@ -264,10 +227,7 @@ def _scenario_shard(payload):
                 entry, device, seed, users, actions_per_user, config,
                 generator, scanner, blocking_db,
             ))
-    return ScenarioResult(
-        cells=cells, size=size, mix=mix, users=users,
-        actions_per_user=actions_per_user,
-    )
+    return cells
 
 
 def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
@@ -282,11 +242,11 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
     scheduler's cost model, so a worker drawing the expensive
     archetypes gets fewer apps.  Per-app seeds and index-addressable
     generation make every cell a pure function of its payload, and the
-    merge sorts by index, so any worker count yields byte-identical
-    output.  ``checkpoint``/``resume`` journal completed shards the
-    moment they finish, exactly like the other sweeps; shards are
-    worker-count packings, so a resume only reuses the journal when
-    ``workers`` matches.
+    result sorts the cells by index, so any worker count yields
+    byte-identical output.  ``checkpoint``/``resume`` journal completed
+    shards the moment they finish, exactly like the other sweeps;
+    shards are worker-count packings, so a resume only reuses the
+    journal when ``workers`` matches.
     """
     mix = parse_mix(mix)
     if size <= 0:
@@ -313,11 +273,15 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
         f"sc|{indices[0]}-{indices[-1]}x{len(indices)}"
         for indices in groups
     ]
-    result = ScenarioResult.merge(
-        scheduler.map(_scenario_shard, shards, keys)
+    cells = sorted(
+        (cell for group in scheduler.map(_scenario_shard, shards, keys)
+         for cell in group),
+        key=lambda cell: cell.index,
     )
-    result.execution = scheduler.report
-    return result
+    return ScenarioResult(
+        cells=cells, size=size, mix=mix, users=users,
+        actions_per_user=actions_per_user, execution=scheduler.report,
+    )
 
 
 #: Re-exported for callers that want to label results themselves.

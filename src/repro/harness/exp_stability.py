@@ -12,12 +12,11 @@ cherry-pick:
 
 Each seed's measurement is independent of every other seed's, so the
 sweeps shard per seed across worker processes (``workers=N``) through
-:mod:`repro.sched`; single-seed partial results merge
-back via :meth:`StabilityResult.merge` in seed order, keeping the
-output identical to a serial sweep.
+:mod:`repro.sched`; each shard returns its seed's ``{metric: value}``
+and :func:`_by_seed` builds the result once in seed order, keeping
+the output identical to a serial sweep.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,25 +46,6 @@ class StabilityResult:
         default=None, compare=False, repr=False
     )
 
-    @classmethod
-    def merge(cls, parts):
-        """Concatenate per-seed partial results in submission order."""
-        parts = list(parts)
-        if not parts:
-            return cls(metrics={}, seeds=())
-        metrics = {name: [] for name in parts[0].metrics}
-        seeds = []
-        for part in parts:
-            if set(part.metrics) != set(metrics):
-                raise ValueError(
-                    f"cannot merge stability results over different "
-                    f"metrics: {sorted(metrics)} vs {sorted(part.metrics)}"
-                )
-            for name in metrics:
-                metrics[name].extend(part.metrics[name])
-            seeds.extend(part.seeds)
-        return cls(metrics=metrics, seeds=tuple(seeds))
-
     def mean(self, metric):
         """Across-seed mean of one metric."""
         return float(np.mean(self.metrics[metric]))
@@ -94,20 +74,28 @@ class StabilityResult:
         )
 
 
+def _by_seed(seeds, values, execution=None):
+    """The :class:`StabilityResult` of per-seed ``{metric: value}``
+    dicts, given in seed order."""
+    metrics = {
+        name: [value[name] for value in values]
+        for name in (values[0] if values else ())
+    }
+    return StabilityResult(metrics=metrics, seeds=tuple(seeds),
+                           execution=execution)
+
+
 def _fleet_stability_shard(payload):
     """Table 5 totals for one seed (module-level for the process pool)."""
     device, seed, users, actions_per_user, corpus_size = payload
     result = table5(device, seed=seed, users=users,
                     actions_per_user=actions_per_user,
                     corpus_size=corpus_size)
-    return StabilityResult(
-        metrics={
-            "bugs_detected": [float(result.total_detected)],
-            "missed_offline": [float(result.total_missed_offline)],
-            "clean_flagged": [float(result.clean_apps_flagged)],
-        },
-        seeds=(seed,),
-    )
+    return {
+        "bugs_detected": float(result.total_detected),
+        "missed_offline": float(result.total_missed_offline),
+        "clean_flagged": float(result.clean_apps_flagged),
+    }
 
 
 def fleet_stability(device, seeds=(3, 7, 13), users=3,
@@ -128,10 +116,10 @@ def fleet_stability(device, seeds=(3, 7, 13), users=3,
         (device, seed, users, actions_per_user, corpus_size)
         for seed in seeds
     ]
-    result = StabilityResult.merge(scheduler.map(
+    values = scheduler.map(
         _fleet_stability_shard, shards, [f"seed|{s}" for s in seeds],
-    ))
-    return dataclasses.replace(result, execution=scheduler.report)
+    )
+    return _by_seed(seeds, values, execution=scheduler.report)
 
 
 def _comparison_stability_shard(payload):
@@ -142,27 +130,22 @@ def _comparison_stability_shard(payload):
     tp = result.normalized("tp")["Average"]
     fp = result.normalized("fp")["Average"]
     over = result.overheads()["Average"]
-    return StabilityResult(
-        metrics={
-            "hd_tp_ratio": [tp["HD"]],
-            "hd_fp_ratio": [fp["HD"]],
-            "hd_overhead": [over["HD"]],
-            "ti_overhead": [over["TI"]],
-        },
-        seeds=(seed,),
-    )
+    return {
+        "hd_tp_ratio": tp["HD"],
+        "hd_fp_ratio": fp["HD"],
+        "hd_overhead": over["HD"],
+        "ti_overhead": over["TI"],
+    }
 
 
 def comparison_stability(device, seeds=(2, 5, 11), users=2,
                          actions_per_user=50, workers=1):
     """Figure 8's Hang Doctor averages across seeds."""
     shards = [(device, seed, users, actions_per_user) for seed in seeds]
-    return StabilityResult.merge(
-        ElasticScheduler.for_sweep(workers=workers).map(
-            _comparison_stability_shard, shards,
-            [f"figure8|seed{s}" for s in seeds],
-        )
-    )
+    return _by_seed(seeds, ElasticScheduler.for_sweep(workers=workers).map(
+        _comparison_stability_shard, shards,
+        [f"figure8|seed{s}" for s in seeds],
+    ))
 
 
 def _filter_stability_shard(payload):
@@ -173,22 +156,17 @@ def _filter_stability_shard(payload):
     ranking = [e for e, _ in ranked_events(correlate(samples))]
     fitted = fit_filter(samples, ranking)
     tp, fp, fn, tn = fitted.confusion(samples)
-    return StabilityResult(
-        metrics={
-            "recall": [tp / (tp + fn)],
-            "prune": [tn / (tn + fp) if (tn + fp) else 0.0],
-            "events": [float(len(fitted.thresholds))],
-        },
-        seeds=(seed,),
-    )
+    return {
+        "recall": tp / (tp + fn),
+        "prune": tn / (tn + fp) if (tn + fp) else 0.0,
+        "events": float(len(fitted.thresholds)),
+    }
 
 
 def filter_stability(device, seeds=(7, 21, 42), runs_per_case=8, workers=1):
     """The refitted filter's quality across training realizations."""
     shards = [(device, seed, runs_per_case) for seed in seeds]
-    return StabilityResult.merge(
-        ElasticScheduler.for_sweep(workers=workers).map(
-            _filter_stability_shard, shards,
-            [f"filter|seed{s}" for s in seeds],
-        )
-    )
+    return _by_seed(seeds, ElasticScheduler.for_sweep(workers=workers).map(
+        _filter_stability_shard, shards,
+        [f"filter|seed{s}" for s in seeds],
+    ))

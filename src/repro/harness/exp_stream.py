@@ -51,14 +51,12 @@ from repro.apps.catalog import get_app
 from repro.apps.sessions import SessionGenerator
 from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.hang_doctor import HangDoctor
 from repro.crowd import CrowdAggregator, ReportBatch
-from repro.detectors.runner import run_detector
 from repro.faults import FaultInjector, FaultPlan
+from repro.harness.exp_fleet import deploy
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.sched import CostModel, ElasticScheduler
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 #: Default app set: a representative slice of the Figure 8 apps.
@@ -137,22 +135,14 @@ def _crowd_device_round(payload):
         batches = []
         for app_name in app_names:
             app = get_app(app_name)
-            app_seed = substream_seed(round_seed, app_name)
-            doctor = HangDoctor(
-                app, device, seed=app_seed,
-                blocking_db=BlockingApiDatabase(db_names),
-                crowd_kb=knowledge,
-            )
-            engine = ExecutionEngine(
-                device, seed=app_seed,
-                monitored=doctor.config.filter_events(),
-            )
             session = generator.user_session(
                 app, user_id=device_index, actions_per_user=actions
             )
-            executions = engine.run_session(app, session.action_names,
-                                            gap_ms=1000.0)
-            run = run_detector(doctor, executions, device_id=device_index)
+            doctor, run = deploy(
+                app, device, substream_seed(round_seed, app_name),
+                [session], blocking_db=BlockingApiDatabase(db_names),
+                crowd_kb=knowledge,
+            )
             phase2 += doctor.phase2_collections
             shorts += doctor.kb_short_circuits
             sites.extend(

@@ -8,8 +8,8 @@ section of ``docs/observability.md``):
   :class:`~repro.telemetry.MetricsRegistry`, served live by
   ``repro.serve`` as ``GET /metrics``;
 * :mod:`repro.obs.rollup` — fixed-window rollups of trace records,
-  with the registry's associative merge and hence byte-identical
-  ``rollups.jsonl`` across workers and resume;
+  built once from the parent's ordered records and hence
+  byte-identical ``rollups.jsonl`` across workers and resume;
 * :mod:`repro.obs.slo` — declarative objectives, error budgets, and
   multi-window burn-rate alerts on ``alerts.jsonl``;
 * :mod:`repro.obs.profile` — collapsed-stack flamegraph export and

@@ -10,14 +10,15 @@ live in two domains:
 * ``round`` — one window per stream sync round, fed from
   ``stream.round.stats`` events.
 
-Because each window is a registry, the whole rollup inherits the
-registry's associative + commutative merge: shard rollups fold into
-the parent in any order, and the exported ``rollups.jsonl`` is
-byte-identical across ``--workers`` counts, repeat runs, and
-SIGKILL + resume.  Derived statistics (percentiles, overhead %,
-availability) are computed *at render time* from integer bucket
-counts and counter sums — never from floats accumulated in merge
-order — which is what keeps the derivation deterministic.
+A rollup is built once, from the parent session's trace records
+after every shard's telemetry has been absorbed; the exports fold
+them in ``trace.jsonl``'s ``(track, seq)`` order, so the exported
+``rollups.jsonl`` is byte-identical across ``--workers`` counts,
+repeat runs, and SIGKILL + resume.  Derived statistics
+(percentiles, overhead %, availability) are computed *at render time*
+from integer bucket counts and counter sums — never from floats
+accumulated in record order — which is what keeps the derivation
+deterministic.
 
 Percentiles are bucket-resolution by construction: the reported pNN
 is the smallest histogram bucket bound covering that rank, or null
@@ -181,36 +182,6 @@ class Rollup:
                      int(attrs.get("kb_short_circuits", 0)))
         for key in _ROUND_STATS:
             window.count(key, int(attrs.get(key, 0)))
-
-    # ------------------------------------------------------------- merge
-
-    def state(self):
-        """Picklable snapshot: plain builtins keyed by domain/index."""
-        return {
-            "window_ms": self.window_ms,
-            "windows": [
-                [domain, index, registry.state()]
-                for (domain, index), registry in sorted(
-                    self._windows.items(),
-                    key=lambda item: (item[0][0], _index_key(item[0][1])),
-                )
-            ],
-        }
-
-    def merge_state(self, state):
-        """Fold a :meth:`state` snapshot in (associative+commutative)."""
-        if float(state["window_ms"]) != self.window_ms:
-            raise ValueError(
-                f"window_ms differs: {self.window_ms} vs "
-                f"{state['window_ms']}"
-            )
-        for domain, index, registry_state in state["windows"]:
-            self.window(domain, index).merge_state(registry_state)
-        return self
-
-    def merge(self, other):
-        """Fold another rollup into this one."""
-        return self.merge_state(other.state())
 
     # ------------------------------------------------------------ render
 

@@ -5,8 +5,8 @@ detector comparison, the seed-stability sweeps) decompose naturally at
 *app* granularity: after the per-app seed derivation of
 :func:`repro.harness.exp_fleet.fleet_app_seed`, every app's simulated
 deployment is a pure function of (device, root seed, app), so shards
-can run on any worker in any order and merge back into the exact
-result a serial run produces.
+can run on any worker in any order, and a sweep builds the exact
+result a serial run produces from their values in submission order.
 
 :func:`parallel_map` is the one primitive: a map over work items
 that runs each shard once on a supervised
@@ -23,7 +23,6 @@ configs).  Every degradation is accounted in an
 from repro.parallel.executor import (
     ExecutionReport,
     PartialResult,
-    chunk_indices,
     parallel_map,
     resolve_workers,
 )
@@ -31,7 +30,6 @@ from repro.parallel.executor import (
 __all__ = [
     "ExecutionReport",
     "PartialResult",
-    "chunk_indices",
     "parallel_map",
     "resolve_workers",
 ]

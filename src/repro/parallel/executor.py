@@ -3,8 +3,8 @@
 Experiments submit *shards* — small picklable descriptions of a slice
 of work — to :func:`parallel_map` together with a module-level shard
 function.  Results come back indexed by submission position, so
-callers can merge them deterministically regardless of which worker
-finished first.
+callers build their results deterministically regardless of which
+worker finished first.
 
 Supervision policy: the pool runs each shard once, and no pool
 failure is silent.  The supervisor runs each shard as its own future
@@ -150,22 +150,6 @@ class ExecutionReport:
             or self.torn_writes
         )
 
-    def merge(self, other):
-        """Fold another report's counters and events into this one."""
-        self.shards += other.shards
-        self.pool_attempts += other.pool_attempts
-        self.worker_crashes += other.worker_crashes
-        self.deadline_hits += other.deadline_hits
-        self.in_process_shards += other.in_process_shards
-        self.serial_fallbacks += other.serial_fallbacks
-        self.checkpoint_hits += other.checkpoint_hits
-        self.torn_writes += other.torn_writes
-        self.steals += other.steals
-        self.reshards += other.reshards
-        self.churn_events += other.churn_events
-        self.events.extend(other.events)
-        return self
-
     def describe(self):
         """Multi-line summary (the ``--verbose`` CLI output)."""
         lines = [
@@ -238,28 +222,6 @@ def resolve_workers(workers):
             f"got {count}"
         )
     return count
-
-
-def chunk_indices(count, chunks):
-    """Split ``range(count)`` into at most *chunks* contiguous runs.
-
-    Chunks are as even as possible (sizes differ by at most one) and
-    concatenate back to ``range(count)``, so order-sensitive merges
-    stay trivial.
-
-    >>> chunk_indices(5, 2)
-    [(0, 1, 2), (3, 4)]
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    chunks = max(1, min(chunks, count)) if count else 0
-    out = []
-    start = 0
-    for position in range(chunks):
-        size = count // chunks + (1 if position < count % chunks else 0)
-        out.append(tuple(range(start, start + size)))
-        start += size
-    return out
 
 
 def _picklable(payload):

@@ -32,6 +32,7 @@ import json
 import os
 import pathlib
 
+from repro.core.persistence import fsync_directory
 from repro.crowd.store import batch_from_dict, batch_to_dict
 
 #: Hex digits of the record checksum (48 bits: torn-tail detection,
@@ -62,9 +63,14 @@ class BatchJournal:
     # ----------------------------------------------------------- lifecycle
 
     def open(self):
-        """Open the journal for appending (creating it if missing)."""
+        """Open the journal for appending (creating it if missing).
+
+        The directory is fsynced after the open, so a journal this
+        call created survives a power loss before the first ack.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "ab")
+        fsync_directory(self.path.parent)
         self._good_offset = self._handle.tell()
         return self
 

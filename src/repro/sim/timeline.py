@@ -254,8 +254,3 @@ class Timeline:
                 return segment
             index -= 1
         return None
-
-    def merge(self, other):
-        """Append all segments of *other* (must not rewind any thread)."""
-        self.add_batch(other.segments())
-        return self

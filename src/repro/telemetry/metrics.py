@@ -5,16 +5,16 @@ hierarchical dot-separated namespace (``core.phase2.collections``,
 ``executor.shard.retries``, ``crowd.batches.deduped``):
 
 * **counters** — monotonically increasing integer sums;
-* **gauges** — last-set floats (``merge`` keeps the max, which is the
+* **gauges** — last-set floats (a merge keeps the max, which is the
   right combinator for the 0/1 flags we gauge, e.g. degraded mode);
 * **histograms** — fixed-bucket distributions (bucket-wise integer
   sums plus a running total and value sum).
 
 Every instrument merges associatively and commutatively, so per-shard
 registries collected in worker processes can be folded into the parent
-in *any* order and still produce identical totals — the same algebra
-that makes checkpoint/resume byte-identical for experiment results
-extends to the telemetry channel.
+in *any* order and still produce identical totals — which keeps the
+telemetry channel byte-identical across checkpoint/resume, where
+restored shards fold in before fresh ones.
 
 The registry state is plain picklable builtins (dicts, lists, ints,
 floats), so it rides inside checkpoint journal entries unchanged.
@@ -66,8 +66,8 @@ class MetricsRegistry:
     """Counters, gauges, and fixed-bucket histograms under one namespace.
 
     All mutators are cheap dict updates; nothing here allocates per
-    call beyond the first touch of each metric name.  ``merge`` /
-    ``merge_state`` are associative and commutative so shard-collected
+    call beyond the first touch of each metric name.
+    ``merge_state`` is associative and commutative so shard-collected
     registries survive any absorption order (including checkpoint
     resume, where restored shards are folded in before fresh ones).
     """
@@ -193,10 +193,6 @@ class MetricsRegistry:
             hist[2] += other[2]
             hist[3] += other[3]
         return self
-
-    def merge(self, other):
-        """Fold another registry into this one (see :meth:`merge_state`)."""
-        return self.merge_state(other.state())
 
     # ------------------------------------------------------------ render
 

@@ -9,7 +9,7 @@ nonzero rates degrade quality without ever crashing a deployment.
 import pytest
 
 from repro.cli import main
-from repro.harness.exp_chaos import ChaosResult, chaos_sweep
+from repro.harness.exp_chaos import chaos_sweep
 from repro.harness.exp_fleet import table5
 
 APPS = ("K9-mail", "AndStatus")
@@ -57,19 +57,6 @@ def test_nonzero_rates_inject_and_never_crash(small_sweep):
     base = small_sweep.baseline()
     assert faulted["bugs_detected"] <= base["bugs_detected"]
     assert "no run crashed" in small_sweep.render()
-
-
-def test_merge_recombines_shards(small_sweep):
-    parts = [
-        ChaosResult(cells=[cell], rates=(cell.rate,), apps=small_sweep.apps)
-        for cell in small_sweep.cells
-    ]
-    merged = ChaosResult.merge(parts)
-    assert merged.cells == small_sweep.cells
-    assert merged.rates == small_sweep.rates
-    assert merged.render() == small_sweep.render()
-    with pytest.raises(ValueError):
-        ChaosResult.merge([])
 
 
 def test_row_rejects_unknown_rate(small_sweep):

@@ -112,20 +112,6 @@ def test_empty_report():
     assert "Empty" in report.render()
 
 
-def test_merge_folds_other_database_case_sensitively():
-    db = BlockingApiDatabase({"a.B.c"})
-    other = BlockingApiDatabase({"a.b.c", "x.Y.z"})
-    other.add("q.R.s")
-    added = db.merge(other)
-    # a.b.c and a.B.c differ: Java identifiers are case-sensitive.
-    assert added == 3
-    assert db.names() == {"a.B.c", "a.b.c", "x.Y.z", "q.R.s"}
-    # Merged names are not this database's own discoveries, but the
-    # other side's discovery provenance survives the fold.
-    assert db.runtime_discoveries() == ["q.R.s"]
-    assert db.merge(other) == 0
-
-
 def test_sorted_names_is_the_iteration_order():
     db = BlockingApiDatabase({"z.Z.z", "a.A.a", "m.M.m"})
     assert db.sorted_names() == ["a.A.a", "m.M.m", "z.Z.z"]

@@ -179,25 +179,6 @@ def test_rollup_windows_spans_and_events():
     round0 = rows[("round", 0)]
     assert round0["counters"]["batches_ingested"] == 9
     assert round0["derived"]["availability"] == 0.9
-
-
-def test_rollup_merge_is_order_independent():
-    records = _session_records()
-    whole = Rollup().add_records(records)
-    front = Rollup().add_records(records[:3])
-    back = Rollup().add_records(records[3:])
-    merged = Rollup().merge(back).merge(front)  # reversed order
-    assert merged.to_jsonl() == whole.to_jsonl()
-    # Folding through a state round-trip changes nothing either.
-    rebuilt = Rollup().merge_state(
-        json.loads(json.dumps(whole.state()))
-    )
-    assert rebuilt.to_jsonl() == whole.to_jsonl()
-
-
-def test_rollup_merge_rejects_window_mismatch():
-    with pytest.raises(ValueError):
-        Rollup(window_ms=1000.0).merge(Rollup(window_ms=500.0))
     with pytest.raises(ValueError):
         Rollup(window_ms=0)
 

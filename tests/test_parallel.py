@@ -2,9 +2,9 @@
 
 Covers the executor primitive itself, the supervisor's failure paths
 (worker crashes and deadlines hand shards back unfinished), the
-per-app seed derivation of the fleet study, the explicit merge paths
-on experiment results, and the headline guarantee: sharding an
-experiment across worker processes changes nothing about its output.
+per-app seed derivation of the fleet study, the remaining run merge,
+and the headline guarantee: sharding an experiment across worker
+processes changes nothing about its output.
 """
 
 import math
@@ -14,24 +14,20 @@ import time
 
 import pytest
 
+from repro.apps.corpus import build_corpus
 from repro.detectors.base import MonitoringCost
 from repro.detectors.runner import DetectorRun
-from repro.harness.exp_comparison import (
-    Figure8Result,
-    figure8,
-    fit_utilization_thresholds,
-)
+from repro.harness.exp_comparison import figure8, fit_utilization_thresholds
 from repro.harness.exp_fleet import (
     Table5Result,
-    Table5Row,
+    _table5_plan,
     fleet_app_seed,
     table5,
 )
-from repro.harness.exp_stability import StabilityResult, fleet_stability
+from repro.harness.exp_stability import fleet_stability
 from repro.parallel import (
     ExecutionReport,
     PartialResult,
-    chunk_indices,
     parallel_map,
     resolve_workers,
 )
@@ -61,20 +57,6 @@ def test_resolve_workers_defaults_to_cpu_count():
     assert resolve_workers(3) == 3
     with pytest.raises(ValueError):
         resolve_workers(-1)
-
-
-def test_chunk_indices_partitions_range():
-    for count in (0, 1, 5, 7, 114):
-        for chunks in (1, 2, 4, 13):
-            parts = chunk_indices(count, chunks)
-            flat = [i for part in parts for i in part]
-            assert flat == list(range(count))
-            if count:
-                sizes = [len(part) for part in parts]
-                assert max(sizes) - min(sizes) <= 1
-                assert len(parts) == min(chunks, count)
-            else:
-                assert parts == []
 
 
 def test_parallel_map_preserves_order():
@@ -178,14 +160,10 @@ def test_execution_report_merge_and_describe():
     clean = ExecutionReport()
     assert not clean.degraded
     assert "clean" in clean.describe()
-    other = ExecutionReport(shards=3, worker_crashes=1, checkpoint_hits=2,
-                            events=["worker-crash: pool broke"])
-    merged = ExecutionReport(shards=1).merge(other)
-    assert merged.shards == 4
-    assert merged.worker_crashes == 1
-    assert merged.checkpoint_hits == 2
-    assert merged.degraded
-    text = merged.describe()
+    report = ExecutionReport(shards=4, worker_crashes=1, checkpoint_hits=2,
+                             events=["worker-crash: pool broke"])
+    assert report.degraded
+    text = report.describe()
     assert "worker crash" in text or "crash" in text
     assert "pool broke" in text
 
@@ -251,31 +229,7 @@ def test_distinct_apps_draw_distinct_noise(device, k9):
     assert times_a != times_b
 
 
-# ------------------------------------------------------------ merge paths
-
-
-def _t5_row(name, detected=1, missed=0):
-    return Table5Row(
-        app_name=name, category="Tools", downloads=10, commit="abc",
-        issue_id=1, bugs_detected=detected, missed_offline=missed,
-        ground_truth_bugs=detected,
-    )
-
-
-def test_table5_merge_concatenates_and_dedupes_discoveries():
-    part_a = Table5Result(
-        rows=[_t5_row("A")], apps_tested=2, clean_apps_flagged=0,
-        new_blocking_apis=["x.y.Z", "p.q.R"],
-    )
-    part_b = Table5Result(
-        rows=[_t5_row("B")], apps_tested=3, clean_apps_flagged=1,
-        new_blocking_apis=["p.q.R", "m.n.O"],
-    )
-    merged = Table5Result.merge([part_a, part_b])
-    assert [row.app_name for row in merged.rows] == ["A", "B"]
-    assert merged.apps_tested == 5
-    assert merged.clean_apps_flagged == 1
-    assert merged.new_blocking_apis == ["x.y.Z", "p.q.R", "m.n.O"]
+# ------------------------------------------------------- result paths
 
 
 def test_table5_missed_offline_percent_nan_when_empty():
@@ -304,25 +258,6 @@ def test_detector_run_merge_sums_costs_in_order():
         DetectorRun.merge([])
 
 
-def test_stability_merge_concatenates_seed_order():
-    part_a = StabilityResult(metrics={"m": [1.0]}, seeds=(3,))
-    part_b = StabilityResult(metrics={"m": [2.0]}, seeds=(7,))
-    merged = StabilityResult.merge([part_a, part_b])
-    assert merged.metrics == {"m": [1.0, 2.0]}
-    assert merged.seeds == (3, 7)
-    with pytest.raises(ValueError):
-        StabilityResult.merge(
-            [part_a, StabilityResult(metrics={"other": [1.0]}, seeds=(5,))]
-        )
-    assert StabilityResult.merge([]).seeds == ()
-
-
-def test_figure8_merge_concatenates_apps():
-    part = Figure8Result(apps=["a", "b"])
-    merged = Figure8Result.merge([part, Figure8Result(apps=["c"])])
-    assert merged.apps == ["a", "b", "c"]
-
-
 # -------------------------------------------- parallel-equals-serial
 
 
@@ -337,12 +272,30 @@ def test_table5_parallel_equals_serial(device, small_fleet_serial, workers):
     parallel = table5(device, seed=0, users=1, actions_per_user=10,
                       corpus_size=22, workers=workers)
     assert parallel.render() == small_fleet_serial.render()
+    # The rendered count hides the order of the runtime discoveries.
+    assert parallel.new_blocking_apis == small_fleet_serial.new_blocking_apis
 
 
 def test_table5_repeated_runs_deterministic(device, small_fleet_serial):
     again = table5(device, seed=0, users=1, actions_per_user=10,
                    corpus_size=22, workers=1)
     assert again.render() == small_fleet_serial.render()
+
+
+def test_table5_plan_balances_session_weight():
+    """Table 5's 2-worker plan at the paper's size (seed 7, 5 users x
+    80 actions): the groups partition the corpus and their session
+    weights are balanced.  Contiguous halves read 1.48 here, because
+    the 16 heavy catalog apps are corpus indices 0-15."""
+    apps = build_corpus(seed=7)
+    shapes, groups = _table5_plan(apps, users=5, actions_per_user=80,
+                                  bins=2)
+    assert sorted(i for group in groups for i in group) == \
+        list(range(len(apps)))
+    weights = [users * actions for users, actions in shapes]
+    loads = [sum(weights[i] for i in group) for group in groups]
+    assert len(loads) == 2
+    assert max(loads) / (sum(loads) / len(loads)) <= 1.01
 
 
 def test_figure8_parallel_equals_serial(device):
@@ -465,53 +418,6 @@ def _stall_last_sleep_rest(x):
     if multiprocessing.parent_process() is not None:
         time.sleep(60.0 if x == 3 else 0.6)
     return x * x
-
-
-# ------------------------------------- report merge algebra
-
-
-def _report(tag, **counters):
-    report = ExecutionReport(events=[f"{tag}: event"], **counters)
-    return report
-
-
-def _snapshot(report):
-    payload = report.to_dict()
-    payload["events"] = sorted(payload["events"])
-    return payload
-
-
-def test_report_merge_is_associative_and_commutative_up_to_events():
-    """Counters merge as sums and events as a multiset, so merging
-    shard reports in any grouping or order yields the same account —
-    what lets the scheduler fold per-round reports freely."""
-    reports = [
-        _report("a", shards=3, steals=2, worker_crashes=1),
-        _report("b", reshards=4, churn_events=2, deadline_hits=1),
-        _report("c", checkpoint_hits=5, torn_writes=1, in_process_shards=2),
-    ]
-
-    def merged(order):
-        total = ExecutionReport()
-        for index in order:
-            clone = ExecutionReport(**{
-                key: value for key, value in
-                reports[index].to_dict().items()
-                if key not in ("degraded",)
-            })
-            total.merge(clone)
-        return _snapshot(total)
-
-    baseline = merged([0, 1, 2])
-    # Commutativity (up to event order): every permutation agrees.
-    assert merged([2, 1, 0]) == baseline
-    assert merged([1, 0, 2]) == baseline
-    # Associativity: (a + b) + c == a + (b + c), field for field.
-    left = ExecutionReport().merge(reports[0]).merge(reports[1])
-    left.merge(reports[2])
-    right_tail = ExecutionReport().merge(reports[1]).merge(reports[2])
-    right = ExecutionReport().merge(reports[0]).merge(right_tail)
-    assert _snapshot(left) == _snapshot(right)
 
 
 def test_report_new_counters_round_trip_and_describe():

@@ -10,7 +10,9 @@ mid-run kill + restart.
 
 import asyncio
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -150,6 +152,52 @@ def test_state_crash_between_snapshot_and_reset_is_idempotent(tmp_path):
     assert serial_json(recovered.aggregator.batches()) == \
         serial_json(batches)
     recovered.close()
+
+
+def test_publish_syncs_directory_between_rename_and_wal_reset(
+        tmp_path, monkeypatch):
+    """Acked implies durable across power loss, not only SIGKILL.
+
+    A rename is durable only once its directory is fsynced.  If the
+    WAL truncation reached the disk while the snapshot rename did not,
+    a power loss would keep the empty WAL and the old snapshot, and
+    every batch acked since the last publish would be gone.  So the
+    state directory must be fsynced after the rename and before the
+    WAL's fsync.
+    """
+    batches = flat(fleet(3, 1))
+    state = ServiceState(tmp_path / "state").recover()
+    state.log(batches)
+    for batch in batches:
+        state.ingest(batch)
+    calls = []
+    real_replace, real_fsync = os.replace, os.fsync
+
+    def recording_replace(src, dst, *args, **kwargs):
+        real_replace(src, dst, *args, **kwargs)
+        calls.append(("rename", os.stat(dst).st_ino))
+
+    def recording_fsync(fd):
+        real_fsync(fd)
+        info = os.fstat(fd)
+        kind = "fsync-dir" if stat.S_ISDIR(info.st_mode) else "fsync"
+        calls.append((kind, info.st_ino))
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    state.publish()
+    monkeypatch.undo()
+    state.close()
+
+    names = {
+        os.stat(state.snapshot_path).st_ino: "snapshot",
+        os.stat(state.directory).st_ino: "state-dir",
+        os.stat(state.wal.path).st_ino: "wal",
+    }
+    sequence = [f"{kind}({names.get(ino, ino)})" for kind, ino in calls]
+    expected = ["rename(snapshot)", "fsync-dir(state-dir)", "fsync(wal)"]
+    assert [step for step in sequence if step in expected] == expected, \
+        sequence
 
 
 def test_state_torn_snapshot_write_loses_nothing(tmp_path):

@@ -138,15 +138,6 @@ def test_cpu_ms_total_and_window():
     assert timeline.cpu_ms(MAIN_THREAD, 0, 50) == pytest.approx(30.0)
 
 
-def test_merge_keeps_order():
-    first = Timeline()
-    first.add(seg(start=0, end=10))
-    second = Timeline()
-    second.add(seg(start=20, end=30, counts={"x": 1.0}))
-    first.merge(second)
-    assert first.total(MAIN_THREAD, "x") == 1.0
-
-
 def test_zero_duration_segment_counts():
     timeline = Timeline()
     timeline.add(seg(start=10, end=10, counts={"x": 5.0}))
