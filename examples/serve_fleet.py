@@ -30,7 +30,8 @@ FAULTS = FaultPlan(request_drop_rate=0.2, connection_reset_rate=0.15,
 
 
 async def upload_fleet(port, fleet_slice, seed_base=0):
-    """Concurrent devices, each with its own seeded-retry client."""
+    """Concurrent devices, each with its own seeded-retry client and
+    its own kept-alive connection."""
     async def device(index, batches):
         client = ServeClient(
             "127.0.0.1", port, seed=seed_base + index,
@@ -38,8 +39,11 @@ async def upload_fleet(port, fleet_slice, seed_base=0):
             faults=FaultInjector(FAULTS, seed=7, scope=("serve-net",)),
             max_attempts=40, sleep_scale=0.01,
         )
-        for batch in batches:
-            await client.upload(batch)
+        try:
+            for batch in batches:
+                await client.upload(batch)
+        finally:
+            await client.close()
         return client.stats
 
     stats = await asyncio.gather(*(

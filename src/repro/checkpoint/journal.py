@@ -158,17 +158,24 @@ class ShardJournal:
         crash mid-redistribution leaves an auditable trail: on resume
         the log shows which items were in flight where when the run
         died.  The record is one JSON line ``{"kind": ..., ...}``
-        appended with an fsync; a torn tail (killed mid-append) is
-        tolerated by :meth:`reassignments`.  Returns True when the
-        record landed.
+        appended with an fsync.  A torn tail (killed mid-append) was
+        never reported as landed: it is cut back to the last newline
+        before the append, so the new record gets its own line.
+        Returns True when the record landed.
         """
         payload = dict(record)
         payload["kind"] = str(kind)
+        line = json.dumps(payload, sort_keys=True) + "\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.reassignments_path, "a",
-                      encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            with open(self.reassignments_path, "a+b") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        handle.seek(0)
+                        handle.truncate(handle.read().rfind(b"\n") + 1)
+                handle.write(line.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError:

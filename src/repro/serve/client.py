@@ -19,6 +19,13 @@ functions of the observed failure sequence.  What stays wall-clock
 never changes which batches are delivered, which is why fault-rate-0
 runs publish byte-identical snapshots at any concurrency.
 
+One client keeps one HTTP/1.1 connection open across its attempts
+and uploads; every reply is framed by ``Content-Length``.  An attempt
+that does not end in a complete framed reply (timeout, reset, refused
+connect, short read, bad framing) or a reply carrying ``Connection:
+close`` drops the connection, so the next attempt opens a fresh one
+and a late reply can never answer a later request.
+
 The circuit breaker trips after ``breaker_threshold`` *consecutive*
 failures: further attempts first sit out a seeded cooldown (the
 half-open probe), so a down server costs one probe per cooldown
@@ -132,6 +139,9 @@ class ServeClient:
         self._sleep = sleep
         self._clock = clock
         self.stats = ClientStats()
+        #: The kept-alive connection, opened on first use.
+        self._reader = None
+        self._writer = None
 
     # ------------------------------------------------------------ uploads
 
@@ -196,17 +206,20 @@ class ServeClient:
                 self.stats.timeouts += 1
                 return "retry", 0.0
         try:
-            status, headers, payload = await asyncio.wait_for(
-                self._exchange(batch_id, attempt, body),
+            head, text = await asyncio.wait_for(
+                self._exchange("POST", "/v1/batches", body, batch_id,
+                               attempt),
                 timeout=self.timeout_s,
             )
+            status, headers = _parse_head(head)
+            payload = json.loads(text)
         except asyncio.TimeoutError:
             self.stats.timeouts += 1
             return "retry", 0.0
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             self.stats.connection_errors += 1
             return "retry", 0.0
-        except ValueError:
+        except (ValueError, asyncio.LimitOverrunError):
             # Garbled response (possibly the response_corrupt channel):
             # the ack is unreadable, so treat as undelivered and retry
             # into the idempotent server.
@@ -230,54 +243,81 @@ class ServeClient:
         # 4xx other than shedding: the batch itself is malformed.
         return "fatal", 0.0
 
-    async def _exchange(self, batch_id, attempt, body):
-        """One POST /v1/batches over a fresh connection."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+    async def _exchange(self, method, path, body="", batch_id=None,
+                        attempt=0):
+        """One request on the kept-alive connection; returns the reply's
+        ``(head_text, body_text)``.
+
+        The reply is framed by its ``Content-Length``.  Anything short
+        of a complete framed reply — and a reply that says
+        ``Connection: close`` — drops the connection.  Uploads pass
+        their *batch_id* and *attempt*, which key the reset and
+        corruption fault channels.
+        """
+        faults = self.faults if batch_id is not None else None
         try:
+            # EOF on an idle connection: the server closed it (a drain).
+            if self._writer is None or self._reader.at_eof():
+                self._drop()
+                self._reader, self._writer = await asyncio.open_connection(
+                    self.host, self.port
+                )
             payload = body.encode("utf-8")
-            headers = [
-                "POST /v1/batches HTTP/1.1",
+            lines = [
+                f"{method} {path} HTTP/1.1",
                 f"Host: {self.host}:{self.port}",
-                "Content-Type: application/json",
-                f"Content-Length: {len(payload)}",
-                "Connection: close",
             ]
+            if payload:
+                lines += ["Content-Type: application/json",
+                          f"Content-Length: {len(payload)}"]
             if self.tenant is not None:
-                headers.append(f"X-Tenant: {self.tenant}")
-            writer.write(
-                ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1")
+                lines.append(f"X-Tenant: {self.tenant}")
+            self._writer.write(
+                ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+                + payload
             )
-            writer.write(payload)
-            await writer.drain()
-            if (self.faults is not None
-                    and self.faults.connection_reset_fault(batch_id,
-                                                           attempt)):
+            await self._writer.drain()
+            if (faults is not None
+                    and faults.connection_reset_fault(batch_id, attempt)):
                 # Reset after the request is on the wire: the server
                 # may well have ingested it — the ambiguous failure
                 # idempotency exists for.
                 self.stats.injected_resets += 1
                 raise ConnectionResetError("injected reset mid-exchange")
-            raw = await reader.read()
-        finally:
+            head = (await self._reader.readuntil(b"\r\n\r\n")).decode(
+                "latin-1"
+            )
+            _, headers = _parse_head(head)
+            length = headers.get("content-length", "")
+            if not length.isdigit():
+                raise ValueError(f"unframed response: {head!r}")
+            raw = await self._reader.readexactly(int(length))
+        except BaseException:
+            self._drop()
+            raise
+        if headers.get("connection", "").lower() == "close":
+            self._drop()
+        text = head + raw.decode("utf-8", errors="replace")
+        if faults is not None:
+            text = faults.corrupt_response(text, batch_id, attempt)
+        head, _, body_text = text.partition("\r\n\r\n")
+        return head, body_text
+
+    def _drop(self):
+        """Forget the connection; the next request opens a new one."""
+        if self._writer is not None:
+            self._writer.close()
+        self._reader = self._writer = None
+
+    async def close(self):
+        """Close the kept-alive connection (safe to call repeatedly)."""
+        writer = self._writer
+        self._drop()
+        if writer is not None:
             try:
-                writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        text = raw.decode("utf-8", errors="replace")
-        if self.faults is not None:
-            text = self.faults.corrupt_response(text, batch_id, attempt)
-        head, _, body_text = text.partition("\r\n\r\n")
-        lines = head.split("\r\n")
-        parts = lines[0].split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ValueError(f"malformed response: {lines[0]!r}")
-        status = int(parts[1])
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers, json.loads(body_text)
 
     # ------------------------------------------------------------ queries
 
@@ -292,20 +332,17 @@ class ServeClient:
         The raw form serves non-JSON endpoints (``/metrics``) and
         tests that assert on headers.
         """
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write((
-                f"GET {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1"))
-            await writer.drain()
-            raw = await reader.read()
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        head, _, body_text = raw.decode("utf-8").partition("\r\n\r\n")
-        return head, body_text
+        return await self._exchange("GET", path)
+
+
+def _parse_head(head):
+    """``(status, lower-cased headers)`` of a response head."""
+    lines = head.rstrip("\r\n").split("\r\n")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ValueError(f"malformed response: {lines[0]!r}")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(parts[1]), headers

@@ -247,7 +247,8 @@ async def drive_fleet(host, port, fleet, seed=0, plan=None, concurrency=16,
     """Upload every fleet batch through per-device clients.
 
     Returns ``(merged ClientStats, undelivered batch ids)``.  One
-    client (own backoff schedule, own breaker) per device; at most
+    client (own backoff schedule, own breaker, own kept-alive
+    connection, closed after its last batch) per device; at most
     *concurrency* devices in flight.  Fault decisions key on
     (batch_id, attempt) so the injected sequence is independent of
     concurrency and scheduling.
@@ -271,13 +272,16 @@ async def drive_fleet(host, port, fleet, seed=0, plan=None, concurrency=16,
                 breaker_threshold=breaker_threshold,
                 sleep_scale=sleep_scale,
             )
-            for batch in batches:
-                if tenant_by_app:
-                    client.tenant = batch.app_name
-                try:
-                    await client.upload(batch)
-                except DeliveryError:
-                    undelivered.append(batch.batch_id)
+            try:
+                for batch in batches:
+                    if tenant_by_app:
+                        client.tenant = batch.app_name
+                    try:
+                        await client.upload(batch)
+                    except DeliveryError:
+                        undelivered.append(batch.batch_id)
+            finally:
+                await client.close()
             total.merge(client.stats)
 
     await asyncio.gather(*(

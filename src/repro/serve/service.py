@@ -36,11 +36,18 @@ append fails the *whole* group with 500 — the journal is repaired and
 no batch of the group is acknowledged, so "acked" and "durable" stay
 synonyms even under injected write faults.
 
+**Connections.**  A connection stays open across requests (HTTP/1.1
+keep-alive); every response is framed by ``Content-Length``.  The
+service answers with ``Connection: close`` and closes the connection
+when the request asked for it, the request is malformed (400), or the
+service is draining.  Accepted connections count as
+``serve.connections``.
+
 **Shutdown.**  :meth:`IngestService.stop` drains: readiness flips to
 503, new uploads are refused with 503 + ``Retry-After``, the queue is
 flushed through the writer, a final snapshot is published, and only
-then does the socket close.  SIGKILL instead of drain is the WAL's
-job: acked batches replay on restart.
+then do the idle connections and the socket close.  SIGKILL instead
+of drain is the WAL's job: acked batches replay on restart.
 
 Everything timing-related (latencies, queue depths, publish cadence)
 is wall-clock and lands on the telemetry *advisory* channel only; the
@@ -155,6 +162,10 @@ class IngestService:
         self._queue = None
         self._writer_task = None
         self._server = None
+        #: Handler tasks of the open connections.
+        self._connections = set()
+        #: Writers whose handler waits for the next request line.
+        self._idle = set()
         self._draining = False
         self._since_publish = 0
         self._buckets = {}
@@ -190,9 +201,11 @@ class IngestService:
             except asyncio.CancelledError:
                 pass
         self._publish(final=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        # An idle kept-alive connection holds no request: closing it
+        # hands its handler EOF.  Busy handlers close after replying.
+        for writer in self._idle:
+            writer.close()
+        await self._close_server()
         self.state.close()
         telemetry().advisory_event(
             "serve.stop",
@@ -205,19 +218,36 @@ class IngestService:
 
         Tests use this to leave behind exactly what a killed process
         leaves: the last published snapshot plus the fsynced WAL tail.
-        Pending uploads never get their ack — their clients retry
-        against the restarted service.
+        Every connection handler is cancelled, so in-flight requests
+        never get their reply — their clients retry against the
+        restarted service.
         """
+        self._draining = True  # a late handler must not queue work
         if self._writer_task is not None:
             self._writer_task.cancel()
             try:
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        for task in self._connections:
+            task.cancel()
+        await self._close_server()
         self.state.close()
+
+    async def _close_server(self):
+        """Stop listening and wait until every handler has exited.
+
+        ``Server.wait_closed`` waits for open connections on some
+        Python versions and not on others, so the handlers are awaited
+        directly: a kept-alive connection must be closed (or its
+        handler cancelled) first.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections))
+        await self._server.wait_closed()
 
     @property
     def address(self):
@@ -318,23 +348,46 @@ class IngestService:
     # -------------------------------------------------------- the handler
 
     async def _handle(self, reader, writer):
-        started = self.clock()
+        """Serve requests on one connection until it closes."""
+        self._meter("connections")
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                self._observe_request(
-                    "other", 400, (self.clock() - started) * 1000.0
+            while True:
+                self._idle.add(writer)
+                try:
+                    line = await reader.readline()
+                finally:
+                    self._idle.discard(writer)
+                if not line:
+                    break  # the client closed the connection
+                # Request latency starts at the request line: time the
+                # connection sat idle before it is not request time.
+                started = self.clock()
+                request = await self._read_request(line, reader)
+                if request is None:
+                    path, status = "other", 400
+                    payload, headers = {"error": "bad request"}, {}
+                else:
+                    path = request.path
+                    status, payload, headers = await self._route(request)
+                close = request is None or self._draining or (
+                    request.headers.get("connection", "").lower() == "close"
                 )
-                await self._respond(writer, 400, {"error": "bad request"})
-                return
-            status, payload, headers = await self._route(request)
-            self._observe_request(
-                request.path, status, (self.clock() - started) * 1000.0
-            )
-            await self._respond(writer, status, payload, headers)
-        except (ConnectionError, asyncio.IncompleteReadError):
+                self._observe_request(
+                    path, status, (self.clock() - started) * 1000.0
+                )
+                await self._respond(writer, status, payload, headers,
+                                    close=close)
+                if close or self._draining:
+                    break  # a drain began while this reply was sent
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # abort() cancels handlers to end them; the task returns
+            # normally so asyncio's stream callback logs nothing.
             pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -427,28 +480,34 @@ class IngestService:
 
     # ------------------------------------------------------------- wire IO
 
-    async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; None on malformed input."""
-        line = await reader.readline()
-        parts = line.decode("latin-1").rstrip("\r\n").split(" ")
-        if len(parts) != 3:
+    async def _read_request(self, line, reader):
+        """Parse the rest of one HTTP/1.1 request after its request
+        *line*; None on malformed input."""
+        try:
+            parts = line.decode("latin-1").rstrip("\r\n").split(" ")
+            if len(parts) != 3:
+                return None
+            method, path, _version = parts
+            headers = {}
+            while True:
+                line = await reader.readline()
+                text = line.decode("latin-1").rstrip("\r\n")
+                if not text:
+                    break
+                name, _, value = text.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", "0") or "0")
+            if length < 0 or length > MAX_BODY_BYTES:
+                return None
+            body = await reader.readexactly(length) if length else b""
+            return _Request(method, path, headers, body.decode("utf-8"))
+        except ValueError:
+            # A non-numeric Content-Length, a body that is not UTF-8,
+            # or a header line past the stream limit.
             return None
-        method, path, _version = parts
-        headers = {}
-        while True:
-            line = await reader.readline()
-            text = line.decode("latin-1").rstrip("\r\n")
-            if not text:
-                break
-            name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return _Request(method, path, headers, body.decode("utf-8"))
 
-    async def _respond(self, writer, status, payload, headers=None):
+    async def _respond(self, writer, status, payload, headers=None,
+                       close=False):
         headers = dict(headers or {})
         if isinstance(payload, str):
             body = payload.encode("utf-8")
@@ -462,8 +521,9 @@ class IngestService:
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
-            "Connection: close",
         ]
+        if close:
+            lines.append("Connection: close")
         for name, value in headers.items():
             lines.append(f"{name}: {value}")
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))

@@ -114,6 +114,19 @@ def test_torn_write_leaves_existing_entry_intact(tmp_path):
     assert litter[0].stat().st_size < entry.stat().st_size
 
 
+def test_reassignment_after_torn_tail_lands_on_its_own_line(tmp_path):
+    """A crash mid-append leaves a fragment with no newline.  The next
+    record reported as landed must be readable, not glued onto it."""
+    journal = ShardJournal(tmp_path, run_key("exp", 0)).open()
+    assert journal.log_reassignment("assign", shard=0)
+    with open(journal.reassignments_path, "a", encoding="utf-8") as handle:
+        handle.write('{"kind": "ste')
+    assert journal.log_reassignment("steal", shard=1)
+    assert [record["kind"] for record in journal.reassignments()] == \
+        ["assign", "steal"]
+    assert journal.reassignments_path.read_text().endswith("\n")
+
+
 def test_journal_schema_mismatch_resets(tmp_path):
     key = run_key("exp", 0)
     journal = ShardJournal(tmp_path, key).open()

@@ -657,3 +657,184 @@ def test_run_bench_under_faults_and_saturation(tmp_path):
     assert report.snapshot_matches is True
     assert report.stats.failed == 0
     assert report.stats.retries > 0
+
+
+# ------------------------------------------------- connection lifecycle
+
+
+def _latency(service, route, status):
+    """``(count, sum_ms)`` of one route's request-latency histogram."""
+    from repro.telemetry import labeled
+
+    return service.metrics.histogram_summary(
+        labeled("serve.http.latency_ms", route=route, status=status)
+    )
+
+
+async def _raw_exchange(port, data):
+    """Send raw bytes on a fresh connection; read until the server
+    closes it."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    await writer.drain()
+    try:
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"POST /v1/batches HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /v1/batches HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+], ids=["non-numeric-content-length", "body-not-utf8"])
+def test_malformed_request_gets_400_and_close(tmp_path, request_bytes):
+    async def scenario():
+        service = await _started(tmp_path)
+        response = await _raw_exchange(service.port, request_bytes)
+        await service.stop()
+        return service, response
+
+    service, response = run(scenario())
+    head = response.decode("latin-1").partition("\r\n\r\n")[0]
+    assert head.startswith("HTTP/1.1 400"), response
+    assert "Connection: close" in head.split("\r\n")
+    assert _latency(service, "other", "4xx")[0] == 1
+
+
+def test_one_client_uploads_over_one_connection(tmp_path):
+    batches = flat(fleet(3, 2, seed=61))[:5]
+
+    async def scenario():
+        service = await _started(tmp_path)
+        client = ServeClient("127.0.0.1", service.port, seed=1)
+        for batch in batches:
+            assert await client.upload(batch) == "ingested"
+        _, body = await client.get_raw("/metrics")
+        await client.close()
+        await client.close()  # closing twice is safe
+        await service.stop()
+        return body
+
+    body = run(scenario())
+    assert "serve_connections 1" in body.splitlines()
+
+
+def test_drive_fleet_opens_one_connection_per_device(tmp_path):
+    from repro.serve.loadgen import drive_fleet
+
+    fleet_batches = fleet(8, 3, seed=67) + [(8, [])]
+    expected = baseline_snapshot_json(fleet_batches)
+    devices = sum(1 for _, batches in fleet_batches if batches)
+
+    async def scenario():
+        service = await _started(tmp_path)
+        stats, undelivered = await drive_fleet(
+            "127.0.0.1", service.port, fleet_batches, concurrency=3,
+        )
+        await service.stop()
+        return service, stats, undelivered
+
+    service, stats, undelivered = run(scenario())
+    assert not undelivered
+    assert stats.retries == 0
+    assert service.metrics.counter_value("serve.connections") == devices
+    assert service.state.snapshot_bytes() == expected.encode("utf-8")
+
+
+def test_stop_closes_an_idle_kept_alive_connection(tmp_path):
+    async def scenario():
+        service = await _started(tmp_path)
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       service.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        await writer.drain()
+        head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+        status_line, *lines = head.strip().split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        assert status_line.startswith("HTTP/1.1 200")
+        assert "Connection" not in headers  # kept alive
+        await reader.readexactly(int(headers["Content-Length"]))
+        await asyncio.wait_for(service.stop(), timeout=5.0)
+        tail = await asyncio.wait_for(reader.read(), timeout=5.0)
+        writer.close()
+        return tail
+
+    assert run(scenario()) == b""  # the server closed the connection
+
+
+def test_abort_cancels_a_queued_upload_without_reply(tmp_path):
+    async def scenario():
+        service = await _started(tmp_path)
+        queued = []
+        # The batch is queued but its ack never comes: the handler
+        # waits on a future nothing will resolve.
+        service._queue.put_nowait = queued.append
+        client = ServeClient("127.0.0.1", service.port, seed=1,
+                             max_attempts=1)
+        upload = asyncio.ensure_future(
+            client.upload(flat(fleet(1, 1))[0])
+        )
+        while not queued:
+            await asyncio.sleep(0.01)
+        await asyncio.wait_for(service.abort(), timeout=5.0)
+        with pytest.raises(DeliveryError):
+            await asyncio.wait_for(upload, timeout=5.0)
+        await client.close()
+        return client
+
+    client = run(scenario())
+    assert client.stats.connection_errors == 1  # no reply, no 200
+    assert client.stats.delivered == 0
+
+
+def test_timed_out_attempt_retries_on_a_new_connection(tmp_path):
+    """A late reply must never answer the retry: the retry opens a new
+    connection, so it sees the server's own verdict (duplicate)."""
+    fleet_batches = fleet(3, 2, seed=71)
+    expected = baseline_snapshot_json(fleet_batches)
+    batches = flat(fleet_batches)
+
+    async def scenario():
+        service = await _started(tmp_path)
+        respond = service._respond
+        delays = [0.6]
+
+        async def late_first_ack(writer, status, *args, **kwargs):
+            if delays:
+                await asyncio.sleep(delays.pop())
+            await respond(writer, status, *args, **kwargs)
+
+        service._respond = late_first_ack
+        client = ServeClient("127.0.0.1", service.port, seed=1,
+                             timeout_s=0.2, sleep_scale=0.0)
+        assert await client.upload(batches[0]) == "duplicate"
+        assert client.stats.timeouts == 1
+        for batch in batches[1:]:
+            assert await client.upload(batch) == "ingested"
+        await client.close()
+        await service.stop()
+        return service
+
+    service = run(scenario())
+    assert service.metrics.counter_value("serve.connections") == 2
+    assert service.state.snapshot_bytes() == expected.encode("utf-8")
+
+
+def test_idle_gap_between_requests_is_not_request_latency(tmp_path):
+    batches = flat(fleet(2, 1, seed=73))[:2]
+
+    async def scenario():
+        service = await _started(tmp_path)
+        client = ServeClient("127.0.0.1", service.port, seed=1)
+        await client.upload(batches[0])
+        await asyncio.sleep(0.2)
+        await client.upload(batches[1])
+        await client.close()
+        await service.stop()
+        return service
+
+    service = run(scenario())
+    assert service.metrics.counter_value("serve.connections") == 1
+    count, total_ms = _latency(service, "/v1/batches", "2xx")
+    assert count == 2
+    assert total_ms < 200.0
