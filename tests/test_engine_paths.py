@@ -18,6 +18,16 @@ value may change only as a documented universe change
 (``docs/perf.md``), so a refactor of the engine must leave all five
 digests where they are.  Full mode and the reference share one digest:
 that is the bit-identity contract.
+
+Below the engine, every per-segment :class:`CounterModel` entry point is
+pinned the same way: the full model, four *monitored* projections and
+four lazy ``events=`` models, each over the projection suite's segment
+shapes plus edge shapes the engine never produces (no CPU time, a
+subnormal one, CPU above or equal to wall time, non-positive pages,
+zero and negative uarch multipliers, with and without a DVFS factor).
+Each digest covers every returned key in order, every value as
+``float.hex``, and the bit-generator state after every call, so a
+rewrite of the kernel block they share must leave all nine in place.
 """
 
 import hashlib
@@ -29,10 +39,14 @@ from repro.apps.app import AppSpec
 from repro.apps.catalog import TABLE5_APPS, get_app
 from repro.apps.catalog_helpers import action, op
 from repro.apps.sessions import SessionGenerator
+from repro.base.kinds import ApiKind
+from repro.base.rng import stream
 from repro.scenarios import generate_fleet
-from repro.sim.counters import FILTER_EVENTS
+from repro.sim.counters import FILTER_EVENTS, KERNEL_EVENTS, CounterModel
 from repro.sim.engine import ExecutionEngine
 from repro.sim.looper import Looper, Message
+from repro.sim.timeline import MAIN_THREAD, RENDER_THREAD, WORKER_THREAD
+from tests.test_projection import NEUTRAL_UARCH, _shapes
 
 #: Session length per app.
 ACTIONS_PER_SESSION = 16
@@ -199,3 +213,87 @@ def test_caller_looper_matches_private_queue(device, name):
                                        looper=Looper())
             assert _execution_record(actual) == _execution_record(expected)
             clock = expected.end_ms + 1000.0
+
+
+#: name -> (CounterModel options, sha256 over every segment shape).
+SEGMENT_MODELS = {
+    "full": (
+        {},
+        "1473d417cf276d32bd89dc7fdaa195586cb3f2c071c2c794443034a2135d3928",
+    ),
+    "projected-filter": (
+        dict(monitored=FILTER_EVENTS),
+        "25d4c903b888253b66f4f0f96093a200c4267d5ea639b4a043167dcad80bc0d0",
+    ),
+    "projected-page-faults": (
+        dict(monitored=("page-faults",)),
+        "83a3cb18c4697f2c96056a114d766130146ff742123d7a76df50b62ea4e5b41e",
+    ),
+    "projected-kernel": (
+        dict(monitored=KERNEL_EVENTS),
+        "40b1be624c185a9be045cf735143df91a1e46d26f091292ff26c28de5664b569",
+    ),
+    "projected-pmu": (
+        dict(monitored=FILTER_EVENTS + ("cpu-cycles", "raw-bus-access")),
+        "570b892cf78cd264a3af040e45733dcffe6f8106febcebb990275a87aacf3658",
+    ),
+    "lazy-filter": (
+        dict(events=FILTER_EVENTS),
+        "6679f97dad9bb131724880eadbf4a60da2fed076bbde8fb03e1c309a6e174240",
+    ),
+    "lazy-kernel": (
+        dict(events=KERNEL_EVENTS),
+        "b34132299c493f0bef1fb6d0e6c904d7cfb6b4cd42c2794433b26583f2814150",
+    ),
+    "lazy-fault-split": (
+        dict(events=("page-faults", "minor-faults")),
+        "c410959b8a3bd1690a68981fac90ef9fb75b0c56589b322f7bce815a3af1b3cc",
+    ),
+    "lazy-pmu": (
+        dict(events=("context-switches", "instructions", "cache-misses")),
+        "64602cedd0192d40bb666906f92b57f4ef9d12915988081ff53563454e85a18b",
+    ),
+}
+
+
+def _edge_shapes():
+    """Inputs at the model's guards, on every kind and thread, with the
+    engine's DVFS factor and with the per-segment fallback draw."""
+    base = dict(wall_ms=300.0, cpu_ms=180.0, pages=900, uarch=NEUTRAL_UARCH,
+                wait_chunk_override=None)
+    edits = (
+        dict(cpu_ms=0.0),
+        dict(cpu_ms=5e-324),
+        dict(cpu_ms=450.0),
+        dict(cpu_ms=300.0),
+        dict(pages=-5),
+        dict(pages=0),
+        dict(uarch=dict(NEUTRAL_UARCH, cache=0.0)),
+        dict(uarch=dict(NEUTRAL_UARCH, branch=-0.5)),
+    )
+    return [
+        dict(base, kind=kind, thread=thread, dvfs=dvfs, **edit)
+        for edit in edits
+        for dvfs in (None, 1.3)
+        for kind in ApiKind
+        for thread in (MAIN_THREAD, RENDER_THREAD, WORKER_THREAD)
+    ]
+
+
+def _segment_digest(model):
+    sha = hashlib.sha256()
+    for index, shape in enumerate(_shapes() + _edge_shapes()):
+        rng = stream("segment-pin", index)
+        counts = model.segment_counts(rng=rng, **shape)
+        record = (
+            [(event, float(value).hex()) for event, value in counts.items()],
+            rng.bit_generator.state,
+        )
+        sha.update(repr(record).encode("utf-8"))
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_MODELS))
+def test_segment_counts_match_pinned_digest(device, name):
+    options, digest = SEGMENT_MODELS[name]
+    assert _segment_digest(CounterModel(device, **options)) == digest
