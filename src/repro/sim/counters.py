@@ -36,11 +36,13 @@ dependency closure of the PMU events actually requested (partial-PMU
 mode), and :meth:`CounterModel.segment_batch` extends the pooling
 across all segments of an action for the engine's fleet-scale fast
 path.  A *monitored* projection keeps the full-mode draws but stores
-only the events its consumer reads.  See ``docs/perf.md`` for the
-full determinism contract.
+only the events its consumer reads; a kernel-only one makes every draw
+after its migration draw with one standard-normal vector.  See
+``docs/perf.md`` for the full determinism contract.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -133,6 +135,17 @@ NS_PER_MS = 1e6
 #: gets a per-segment fallback draw with the **same** sigma, so both
 #: entry points sample the same frequency distribution.
 DVFS_SIGMA = 0.7
+
+#: Lognormal shapes of the task-clock jitter and of the cpu-clock
+#: jitter on top of it.
+TASK_CLOCK_SIGMA = 0.02
+CPU_CLOCK_SIGMA = 0.01
+
+#: Standard normals a kernel-only projection draws after its migration
+#: draw, with the engine's DVFS factor: task-clock and cpu-clock
+#: jitter, then the 37 PMU factors (one more, the DVFS factor, sits
+#: between them when the caller passes ``dvfs=None``).
+_PROJECTION_NORMALS = 2 + len(PMU_EVENTS)
 
 #: Kernel events whose values require the scheduler switch model.
 _SWITCH_EVENTS = frozenset({"context-switches", "cpu-migrations"})
@@ -245,6 +258,16 @@ _PMU_DEPS = {name: deps for name, _, deps, _ in _PMU_NODES}
 _PMU_SIGMAS_FULL = np.array([sigma for _, sigma, _, _ in _PMU_NODES])
 
 
+def _positive(uarch):
+    """True when every uarch multiplier is positive (the full-mode PMU
+    block then draws all 37 factors for a positive cycle base)."""
+    return (
+        uarch["ipc"] > 0.0 and uarch["branch"] > 0.0
+        and uarch["mem"] > 0.0 and uarch["cache"] > 0.0
+        and uarch["tlb"] > 0.0
+    )
+
+
 def _pmu_closure(events):
     """Dependency closure of *events* over the PMU DAG."""
     needed = set()
@@ -289,9 +312,11 @@ class CounterModel:
     reads (a deployed Hang Doctor reads only its filter events).  A
     projection is not a universe: every full-mode draw still happens,
     in full-mode order, so each kept value is bit-identical to the
-    full model's; only the unread values are no longer built.  A
-    kernel-only projection consumes the PMU block's factors without
-    evaluating it.  *monitored* applies to the full universe only, so
+    full model's; only the unread values are no longer built.  In a
+    kernel-only projection every draw after the migration draw is a
+    zero-mean lognormal, so it makes them all with one standard-normal
+    call and computes only the clocks it keeps.  *monitored* applies
+    to the full universe only, so
     combining it with *events* or ``columnar=False`` raises
     :class:`ValueError`.
     """
@@ -318,6 +343,8 @@ class CounterModel:
                 )
             self.monitored = monitored
             self._kernel_projection = set(monitored).isdisjoint(PMU_EVENTS)
+            self._keeps_clock = not _CLOCK_EVENTS.isdisjoint(monitored)
+            self._keeps_cpu_clock = "cpu-clock" in monitored
         if events is None:
             self.events = None
             self._want = None
@@ -342,8 +369,13 @@ class CounterModel:
         self._need_migrations = want is None or "cpu-migrations" in want
         self._need_clock = want is None or not want.isdisjoint(_CLOCK_EVENTS)
         self._need_cpu_clock = want is None or "cpu-clock" in want
-        # Static per-device/kind products (exactly the historical
+        # Device constants the kernel block reads on every segment, and
+        # the static per-device/kind products (exactly the historical
         # ``baseline_ipc * _KIND_IPC[kind]`` grouping, precomputed).
+        self._quantum_ms = device.sched_quantum_ms
+        self._vsync_ms = device.vsync_period_ms
+        self._io_chunk_ms = device.io_wait_chunk_ms
+        self._cores = device.cores
         self._cycles_per_ms = device.cycles_per_ms
         self._ipc_by_kind = {
             kind: device.baseline_ipc * mult for kind, mult in _KIND_IPC.items()
@@ -400,26 +432,28 @@ class CounterModel:
                 pages=pages, uarch=uarch, rng=rng,
                 wait_chunk_override=wait_chunk_override, dvfs=dvfs,
             )
-        device = self.device
-        cpu_ms = max(0.0, min(cpu_ms, wall_ms))
+        # max(0.0, min(cpu_ms, wall_ms)), without two builtin calls.
+        cpu_ms = wall_ms if wall_ms < cpu_ms else cpu_ms
+        cpu_ms = cpu_ms if cpu_ms > 0.0 else 0.0
         counts = {}
 
         # --- kernel software events (OS-scheduling driven) ---
         # The scalar draw sequence is exactly the historical one
         # (switches, faults, migrations, clocks); a lazy model draws
         # only for the events it was asked for.
-        switches = None
         if self._need_switches:
-            switches = scheduler.segment_switches(
-                kind, thread, wall_ms, cpu_ms, device, rng,
-                chunk_override=wait_chunk_override,
+            involuntary, voluntary = scheduler.switch_rates(
+                kind, thread, wall_ms, cpu_ms, self._quantum_ms,
+                self._vsync_ms, self._io_chunk_ms, wait_chunk_override,
             )
-            counts["context-switches"] = float(switches.total)
+            switches = rng.poisson(involuntary) + rng.poisson(voluntary)
+            counts["context-switches"] = float(switches)
         if self._need_fault_split:
-            faults = memory.segment_faults(kind, pages, rng)
-            counts["page-faults"] = float(faults.total)
-            counts["minor-faults"] = float(faults.minor)
-            counts["major-faults"] = float(faults.major)
+            faults = rng.poisson(pages) if pages > 0 else 0
+            major = memory.major_faults(kind, faults, rng) if faults else 0
+            counts["page-faults"] = float(faults)
+            counts["minor-faults"] = float(faults - major)
+            counts["major-faults"] = float(major)
         elif self._need_faults:
             # Totals only: the minor/major split draws exist solely to
             # apportion the total the poisson already fixed, so a lazy
@@ -427,23 +461,55 @@ class CounterModel:
             counts["page-faults"] = (
                 float(rng.poisson(pages)) if pages > 0 else 0.0
             )
-        if switches is not None and self._need_migrations:
+        if self._need_switches and self._need_migrations:
             counts["cpu-migrations"] = float(
-                scheduler.cpu_migrations(switches, device, rng)
+                scheduler.migrations(switches, self._cores, rng)
             )
+
+        if self._kernel_projection and cpu_ms > 0.0 and (
+            cpu_ms * self._cycles_per_ms * dvfs > 0.0 if dvfs is not None
+            # A drawn DVFS factor exceeds exp(-0.7 * 13), the ziggurat's
+            # largest normal, so only a subnormal cycle base could
+            # underflow to zero under it.
+            else cpu_ms * self._cycles_per_ms >= sys.float_info.min
+        ) and _positive(uarch):
+            # Kernel-only projection of a segment whose PMU block is all
+            # positive: every draw left is a zero-mean lognormal (the two
+            # clock jitters, the DVFS fallback, the 37 PMU factors), and
+            # numpy's lognormal(0, sigma) is exp(0 + sigma * z) over the
+            # same ziggurat normal.  One standard-normal vector therefore
+            # advances the stream exactly as the full model's scalar and
+            # pooled draws do; only the kept clocks are computed from it.
+            normals = rng.standard_normal(
+                _PROJECTION_NORMALS if dvfs is not None
+                else _PROJECTION_NORMALS + 1
+            )
+            if self._keeps_clock:
+                task_clock = cpu_ms * NS_PER_MS * math.exp(
+                    TASK_CLOCK_SIGMA * normals.item(0)
+                )
+                counts["task-clock"] = task_clock
+                if self._keeps_cpu_clock:
+                    counts["cpu-clock"] = task_clock * math.exp(
+                        CPU_CLOCK_SIGMA * normals.item(1)
+                    )
+            counts["alignment-faults"] = 0.0
+            counts["emulation-faults"] = 0.0
+            return {event: counts[event] for event in self.monitored}
+
         if self._need_clock:
             task_clock = cpu_ms * NS_PER_MS
             if task_clock > 0:
-                task_clock = float(
-                    task_clock * rng.lognormal(mean=0.0, sigma=0.02)
-                )
+                task_clock = float(task_clock * rng.lognormal(
+                    mean=0.0, sigma=TASK_CLOCK_SIGMA
+                ))
             counts["task-clock"] = task_clock
             if self._need_cpu_clock:
                 cpu_clock = task_clock
                 if cpu_clock > 0:
-                    cpu_clock = float(
-                        cpu_clock * rng.lognormal(mean=0.0, sigma=0.01)
-                    )
+                    cpu_clock = float(cpu_clock * rng.lognormal(
+                        mean=0.0, sigma=CPU_CLOCK_SIGMA
+                    ))
                 counts["cpu-clock"] = cpu_clock
         counts["alignment-faults"] = 0.0
         counts["emulation-faults"] = 0.0
@@ -461,32 +527,14 @@ class CounterModel:
         cpu_base = cpu_ms * self._cycles_per_ms * dvfs
         ipc = self._ipc_by_kind[kind] * uarch["ipc"]
         if self.events is None:
-            monitored = self.monitored
-            positive = (
-                cpu_base > 0.0
-                and uarch["ipc"] > 0.0 and uarch["branch"] > 0.0
-                and uarch["mem"] > 0.0 and uarch["cache"] > 0.0
-                and uarch["tlb"] > 0.0
-            )
-            if self._kernel_projection:
-                # Kernel-only projection: consume the PMU block's draws
-                # without evaluating it.  numpy's lognormal is
-                # exp(0 + sigma * z) over the same ziggurat normal, so
-                # 37 standard normals advance the stream exactly as the
-                # pooled draw in _pmu_full does.
-                if positive:
-                    rng.standard_normal(_PMU_SIGMAS_FULL.size)
-                else:
-                    self._pmu_reference({}, cpu_base, ipc, uarch, rng)
-                return {event: counts[event] for event in monitored}
-            if positive:
+            if cpu_base > 0.0 and _positive(uarch):
                 self._pmu_full(counts, cpu_base, ipc, uarch, rng)
             else:
                 # Pathological inputs (a zero/negative multiplier from a
                 # direct caller): replay the per-value scalar guards.
                 self._pmu_reference(counts, cpu_base, ipc, uarch, rng)
-            if monitored is not None:
-                return {event: counts[event] for event in monitored}
+            if self.monitored is not None:
+                return {event: counts[event] for event in self.monitored}
             return counts
 
         # Partial-PMU mode: one pooled draw sized to the dependency

@@ -43,6 +43,18 @@ _MAJOR_FRACTION = {
 }
 
 
+def major_faults(kind, total, rng):
+    """Sample how many of a segment's *total* page faults are major."""
+    fraction = _MAJOR_FRACTION[kind]
+    if fraction == 0.0:
+        # binomial(total, 0) is 0 and consumes nothing from the stream.
+        return 0
+    # Major faults come in bursts (a cold file region pages in all at
+    # once or not at all), so the fraction is heavily overdispersed.
+    fraction = min(0.5, float(rng.beta(0.4, 0.4 / fraction - 0.4)))
+    return int(rng.binomial(total, fraction))
+
+
 def segment_faults(kind, pages, rng):
     """Sample page faults for a segment that touches *pages* new pages."""
     if pages <= 0:
@@ -50,12 +62,7 @@ def segment_faults(kind, pages, rng):
     total = int(rng.poisson(pages))
     if total == 0:
         return FaultCounts(minor=0, major=0)
-    # Major faults come in bursts (a cold file region pages in all at
-    # once or not at all), so the fraction is heavily overdispersed.
-    fraction = _MAJOR_FRACTION[kind]
-    if fraction > 0:
-        fraction = min(0.5, float(rng.beta(0.4, 0.4 / fraction - 0.4)))
-    major = int(rng.binomial(total, fraction))
+    major = major_faults(kind, total, rng)
     return FaultCounts(minor=total - major, major=major)
 
 
