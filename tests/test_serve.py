@@ -267,6 +267,7 @@ def test_service_ingest_ack_and_duplicate(tmp_path):
         stats = await client.get("/v1/stats")
         assert stats["ingested"] == 1
         assert stats["duplicates"] == 1
+        await client.close()
         await service.stop()
         return service
 
@@ -291,6 +292,7 @@ def test_service_equivalence_shuffled_duplicated_concurrent(tmp_path):
                                  key=f"dev{index}")
             for batch in work:
                 await client.upload(batch)
+            await client.close()
 
         await asyncio.gather(*(
             device(i, work) for i, work in enumerate(thirds)
@@ -318,6 +320,7 @@ def test_service_kill_restart_replays_acked_batches(tmp_path):
         for batch in batches[:half]:
             await client.upload(batch)
         await service.abort()  # SIGKILL stand-in: no drain, no publish
+        await client.close()
         return service
 
     async def after_restart():
@@ -329,6 +332,7 @@ def test_service_kill_restart_replays_acked_batches(tmp_path):
             assert await client.upload(batch) == "duplicate"
         for batch in batches[half:]:
             await client.upload(batch)
+        await client.close()
         await service.stop()
         return service
 
@@ -390,6 +394,8 @@ def test_service_tenant_bucket_sheds_429(tmp_path):
                             tenant="fleet-a", sleep_scale=0.0)
         assert await retry.upload(batches[2]) == "ingested"
         assert retry.stats.shed_429 == 0
+        await client.close()
+        await retry.close()
         await service.stop()
 
     run(scenario())
@@ -445,6 +451,7 @@ def test_service_metrics_exposition_agrees_with_stats(tmp_path):
         assert await client.upload(batch) == "duplicate"
         stats = await client.get("/v1/stats")
         head, body = await client.get_raw("/metrics")
+        await client.close()
         await service.stop()
         return stats, head, body
 
@@ -533,6 +540,7 @@ def test_service_never_acks_torn_group_then_recovers(tmp_path):
             await client.upload(batch)
         assert client.stats.server_errors >= 1  # the torn group's 500s
         assert service.stats["write_failures"] >= 1
+        await client.close()
         await service.stop()
         return service
 
@@ -588,6 +596,7 @@ def test_client_delivers_through_network_faults(tmp_path):
                                  max_attempts=40, sleep_scale=0.0)
             for batch in batches:
                 await client.upload(batch)
+            await client.close()
             total_injected += (client.stats.injected_drops
                                + client.stats.injected_resets
                                + client.stats.corrupt_responses)
