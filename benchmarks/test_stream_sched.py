@@ -1,8 +1,9 @@
 """Elastic-scheduler overhead and stream-mode perf trajectory.
 
 Not a paper artifact: the elastic scheduler (:mod:`repro.sched`) adds
-a dispatch-round loop, weight packing, and journaling hooks between
-the harnesses and the executor, and these benchmarks keep that price
+a dispatch-round loop and journaling hooks between the harnesses and
+the executor, and the sweeps pack their shards with
+:func:`~repro.sched.pack_by_weight`; these benchmarks keep that price
 visible.  The gated entry is a same-machine *ratio* — elastic
 dispatch over a plain ``parallel_map`` of the identical workload — so
 it travels across machines; absolute timings are informational.
@@ -12,7 +13,7 @@ import time
 
 from repro.harness.exp_stream import stream_sweep
 from repro.parallel import parallel_map
-from repro.sched import CostModel, ElasticScheduler, pack_by_weight
+from repro.sched import ElasticScheduler, pack_by_weight
 
 PACK_SIZE = 1000
 
@@ -51,8 +52,8 @@ def _busy(n):
 
 def test_scheduler_dispatch_overhead_ratio(bench_record):
     """Elastic dispatch vs a plain parallel_map of the same workload,
-    same worker count — the scheduler's loop, packing, and accounting
-    are everything the ratio pays for.  Same-machine ratio, so it
+    same worker count — the scheduler's loop and accounting are
+    everything the ratio pays for.  Same-machine ratio, so it
     gates the trajectory."""
     items = [20_000] * 48
     keys = [f"i{n}" for n in range(len(items))]
@@ -77,8 +78,7 @@ def test_scheduler_dispatch_overhead_ratio(bench_record):
 
 
 def test_stream_round_trajectory(device, bench_record, archive):
-    """Wall time per stream round at the quick-preset scale, plus the
-    cost model's calibration state at bench time."""
+    """Wall time per stream round at the quick-preset scale."""
     started = time.perf_counter()
     result = stream_sweep(device, seed=5, rounds=3, fleet_size=2,
                           churn_rate=0.25, apps=("K9-mail",),
@@ -88,11 +88,5 @@ def test_stream_round_trajectory(device, bench_record, archive):
     assert len(result.rounds) == 3
     bench_record(
         "stream", "stream.round_ms", seconds * 1000.0 / 3,
-        unit="ms", higher_is_better=False, tolerance=None,
-    )
-    model = CostModel.from_trajectory()
-    bench_record(
-        "stream", "sched.cost_anchor_ms_per_action",
-        model.ms_per_action if model.ms_per_action is not None else 0.0,
         unit="ms", higher_is_better=False, tolerance=None,
     )

@@ -41,8 +41,10 @@ from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
 
 #: Journal layout version (bumped on incompatible changes; a mismatch
-#: resets the journal, never misreads it).
-JOURNAL_SCHEMA = 2
+#: resets the journal, never misreads it).  Schema 3: sweeps pack
+#: their own shards, so a schema-2 key may name another member set
+#: (scenarios) or hold one device round where a list is due (crowd).
+JOURNAL_SCHEMA = 3
 
 
 def run_key(*parts):
@@ -265,7 +267,7 @@ def checkpointed_map(fn, items, keys, journal=None, **kwargs):
     the executor's :class:`~repro.parallel.PartialResult` indexed like
     *items*: restored and completed shards in ``values``, the rest
     ``stalled`` or ``crashed`` for the caller (the elastic scheduler)
-    to repack.  Output is byte-identical with, without, or across
+    to dispatch again.  Output is byte-identical with, without, or across
     interrupted journals.
 
     With ``journal=None`` this is exactly ``parallel_map(fn, items,

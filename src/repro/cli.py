@@ -25,6 +25,7 @@ runs Hang Doctor over the synthetic fleet from a shell:
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -45,6 +46,15 @@ def _workers(value):
     if value < 0:
         raise argparse.ArgumentTypeError(
             "must be >= 0 (0 = one worker per CPU)"
+        )
+    return value
+
+
+def _deadline(value):
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number of seconds"
         )
     return value
 
@@ -617,10 +627,9 @@ def build_parser():
                         help="executor storm: stall shards at this rate "
                              "(stolen past the deadline; output "
                              "unchanged)")
-    stream.add_argument("--deadline", type=float, default=None,
+    stream.add_argument("--deadline", type=_deadline, default=None,
                         help="straggler steal deadline in seconds "
-                             "(default: sized from the perf-trajectory "
-                             "cost model)")
+                             "(default: no stealing)")
     stream.add_argument("--quick", action="store_true",
                         help="small fixed preset (2 apps, fleet 2, 3 "
                              "rounds) for CI determinism smoke")

@@ -21,13 +21,12 @@ Scoring (all at the granularity the paper's Table 5 uses):
 
 The sweep decomposes at app granularity: fleet generation is
 index-addressable and every app's run is a pure function of (device,
-root seed, app).  Shards pack by *weight*, not count — archetypes
-cost different amounts to simulate, so the elastic scheduler's cost
-model (:mod:`repro.sched.cost`) prices each index by its archetype
-and :func:`~repro.sched.pack_by_weight` balances the load across
-workers.  The result is built once from the cells sorted back into
-fleet order, so any ``--workers`` count, packing, checkpoint resume,
-or repeat run renders byte-identical output.
+root seed, app).  Every app runs the same users × actions shape, so
+:func:`~repro.sched.pack_by_weight` packs the indices by uniform
+weight into one shard per worker.  The result is built once from the
+cells sorted back into fleet order, so any ``--workers`` count,
+packing, checkpoint resume, or repeat run renders byte-identical
+output.
 """
 
 import math
@@ -48,12 +47,11 @@ from repro.scenarios import (
     ARCHETYPES,
     DEFAULT_MIX,
     TAXONOMY,
-    assign_archetypes,
     generate_fleet,
     parse_mix,
     render_mix,
 )
-from repro.sched import CostModel, ElasticScheduler, pack_by_weight
+from repro.sched import ElasticScheduler, pack_by_weight
 from repro.telemetry import current as telemetry
 
 
@@ -207,8 +205,8 @@ def _run_scenario_app(entry, device, seed, users, actions_per_user,
 
 
 def _scenario_shard(payload):
-    """Run one weight-packed group of the fleet (module-level so the
-    process pool can pickle it); returns its ScenarioCell list."""
+    """Run one packed group of the fleet (module-level so the process
+    pool can pickle it); returns its ScenarioCell list."""
     (device, seed, size, mix, users, actions_per_user, config,
      indices) = payload
     fleet = generate_fleet(size, mix=mix, seed=seed, indices=indices)
@@ -237,12 +235,11 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
 
     ``size`` and ``mix`` parameterize the fleet (see
     :func:`repro.scenarios.parse_mix` for the mix syntax).  ``workers``
-    shards the fleet through the supervised pool as *weight-balanced*
-    index sets: each index is priced by its archetype through the
-    scheduler's cost model, so a worker drawing the expensive
-    archetypes gets fewer apps.  Per-app seeds and index-addressable
-    generation make every cell a pure function of its payload, and the
-    result sorts the cells by index, so any worker count yields
+    shards the fleet through the supervised pool as index sets packed
+    by uniform weight, one per worker: every app runs the same users ×
+    actions shape.  Per-app seeds and index-addressable generation
+    make every cell a pure function of its payload, and the result
+    sorts the cells by index, so any worker count yields
     byte-identical output.  ``checkpoint``/``resume`` journal completed
     shards the moment they finish, exactly like the other sweeps;
     shards are worker-count packings, so a resume only reuses the
@@ -257,13 +254,7 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
         workers=workers, checkpoint=checkpoint, resume=resume,
         report=report,
     )
-    assignment = assign_archetypes(mix, size)
-    cost_model = CostModel.from_trajectory()
-    weights = [
-        cost_model.archetype_weight(assignment[index][0])
-        for index in range(size)
-    ]
-    groups = pack_by_weight(weights, scheduler.workers)
+    groups = pack_by_weight([1.0] * size, scheduler.workers)
     shards = [
         (device, seed, size, mix, users, actions_per_user, config,
          indices)

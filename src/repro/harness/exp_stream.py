@@ -7,14 +7,15 @@ on a cadence rather than per upload, and the scheduler has to keep the
 pool busy as the fleet reshapes around it.  ``stream_sweep`` models
 exactly that — one long-lived run of *rounds* sync rounds over a fleet
 whose membership evolves on a **seeded churn schedule**, dispatched
-through the elastic scheduler (:mod:`repro.sched`) so stragglers are
-stolen from and dead workers reshard instead of serializing the round.
+through the elastic scheduler (:mod:`repro.sched`) so dead workers
+reshard instead of serializing the round, and, under a ``deadline``,
+stragglers are stolen from.
 
 Both sweeps run the one round loop here, :func:`run_rounds`: churn,
-publish, dispatch the device rounds, ingest the uploads, record the
-round's stats, and flush late batches at the end.  The crowd sweep is
-the loop with churn off and a publish every round, once per fleet
-size.
+publish, pack the device rounds into at most one shard per worker and
+dispatch them, ingest the uploads, record the round's stats, and flush
+late batches at the end.  The crowd sweep is the loop with churn off
+and a publish every round, once per fleet size.
 
 Determinism contract (the acceptance criteria of the sweep smokes):
 
@@ -56,7 +57,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_fleet import deploy
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
-from repro.sched import CostModel, ElasticScheduler
+from repro.sched import ElasticScheduler, pack_by_weight
 from repro.telemetry import current as telemetry
 
 #: Default app set: a representative slice of the Figure 8 apps.
@@ -64,14 +65,6 @@ CROWD_APPS = ("AndStatus", "K9-mail")
 
 #: Default sync rounds of a stream run.
 DEFAULT_ROUNDS = 6
-
-#: Floor on the auto-sized straggler deadline (seconds) — a spurious
-#: steal only wastes work, but not below this.
-MIN_DEADLINE = 5.0
-
-#: Safety factor between the cost model's wall-clock estimate for one
-#: device round and the steal deadline derived from it.
-DEADLINE_FACTOR = 200.0
 
 #: Per-round batch-accounting keys (the crowd sweep's stats contract).
 _STAT_KEYS = ("batches_ingested", "batches_dropped", "batches_duplicated",
@@ -167,6 +160,13 @@ def _crowd_device_round(payload):
     )
 
 
+def _crowd_device_rounds(payloads):
+    """Run one packed shard of device rounds in order (module-level so
+    the process pool can pickle it); returns their results in that
+    order."""
+    return [_crowd_device_round(payload) for payload in payloads]
+
+
 def _ingest_round(aggregator, arrivals, new_results, faults, stats):
     """Upload phase of one round: deliver late batches from the
     previous round, then this round's uploads through the fault seams.
@@ -211,21 +211,6 @@ def _ingest_round(aggregator, arrivals, new_results, faults, stats):
                 if not round_agg.ingest(batch):
                     stats["duplicates_ignored"] += 1
     return CrowdAggregator.merge([aggregator, round_agg]), delayed
-
-
-def stream_deadline(cost_model, app_count, actions):
-    """Straggler deadline sized from the perf-trajectory anchor.
-
-    Coarse on purpose: stealing too early costs duplicate work (never
-    correctness), stealing too late costs latency.  Returns ``None``
-    when the cost model has no wall-clock anchor — stealing then waits
-    for an explicit ``deadline``.
-    """
-    weight = cost_model.device_round_weight(app_count, actions)
-    estimate = cost_model.estimate_seconds(weight, actions)
-    if estimate is None:
-        return None
-    return max(MIN_DEADLINE, DEADLINE_FACTOR * estimate)
 
 
 @dataclass(frozen=True)
@@ -393,13 +378,15 @@ def run_rounds(scheduler, device, seed, rounds, fleet_size, apps,
 
     Each round churns the membership (keyed schedule at *churn_rate*),
     refreshes the published knowledge every *publish_every* rounds,
-    dispatches one device round per member through *scheduler*, and
-    ingests the uploads through the fault seams (*fault_rate*, drawn
-    from the *upload_scope* stream); batches still in flight when the
-    last round ends are flushed.  Records land on telemetry track
-    *track*; the device round of device *d* in round *r* runs on track
-    ``{track}/d{d}/r{r}`` and is journaled under
-    ``{key_prefix}|r{r}|d{d}``.
+    runs one device round per member through *scheduler*, and ingests
+    the uploads through the fault seams (*fault_rate*, drawn from the
+    *upload_scope* stream); batches still in flight when the last
+    round ends are flushed.  Records land on telemetry track *track*;
+    the device round of device *d* in round *r* runs on track
+    ``{track}/d{d}/r{r}``.  Each round's device rounds pack, by
+    uniform weight, into at most ``scheduler.workers`` shards; a shard
+    is journaled under its members' keys ``{key_prefix}|r{r}|d{d}``
+    joined with ``+``.
     """
     report = scheduler.report
     churn = None
@@ -458,14 +445,24 @@ def run_rounds(scheduler, device, seed, rounds, fleet_size, apps,
                 # Deterministic dispatch accounting: a pure function of
                 # the round's members, never of dispatch rounds or
                 # journal hits.  Counted here, not in the scheduler,
-                # whose other callers (table5, scenarios) hand it
-                # worker-count slices.
+                # whose items are worker-count packings.
                 tel.count("sched.maps")
                 tel.count("sched.items.mapped", len(payloads))
                 steals_before = report.steals
                 reshards_before = report.reshards
-                results = scheduler.map(_crowd_device_round, payloads,
-                                        keys)
+                groups = pack_by_weight([1.0] * len(payloads),
+                                        scheduler.workers)
+                packed = scheduler.map(
+                    _crowd_device_rounds,
+                    [[payloads[i] for i in group] for group in groups],
+                    ["+".join(keys[i] for i in group) for group in groups],
+                )
+                # Back to member order, so ingest order never depends
+                # on the packing.
+                results = [None] * len(payloads)
+                for group, shard in zip(groups, packed):
+                    for index, result in zip(group, shard):
+                        results[index] = result
                 tel.advisory_event(
                     "stream.sched", round=round_index,
                     steals=report.steals - steals_before,
@@ -550,8 +547,10 @@ def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
     storm for the elastic scheduler to absorb — they never change
     rendered output and are deliberately excluded from the checkpoint
     run key, so a killed run resumes under any storm.  ``deadline``
-    overrides the cost-model-sized straggler deadline (wall seconds;
-    only timing, never output).
+    is the straggler steal deadline in wall seconds (only timing,
+    never output); ``None`` disables stealing.  Each round packs its
+    device rounds into at most one shard per worker, so a resume under
+    a different ``workers`` re-runs the shards it cannot match.
     """
     apps = tuple(apps) if apps else CROWD_APPS
     if fleet_size < 1:
@@ -575,9 +574,6 @@ def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
                       shard_stall_rate=shard_stall_rate),
             seed=seed, scope=("stream-exec",),
         )
-    if deadline is None:
-        deadline = stream_deadline(CostModel.from_trajectory(), len(apps),
-                                   actions_per_round)
     # The run key spans everything that shapes output — and nothing
     # that only shapes timing: workers, the executor-storm rates, and
     # the deadline are all absent on purpose.

@@ -24,7 +24,7 @@ and watches three failure classes:
 
 What happens to crashed and stalled shards is not decided here: the
 :class:`PartialResult` hands them to the elastic scheduler
-(:mod:`repro.sched`), which repacks them into its next dispatch round
+(:mod:`repro.sched`), which dispatches them again in its next round
 and, when rounds stop making progress, runs the rest in-process.
 Every supervision event is recorded in an :class:`ExecutionReport`,
 which experiments surface through their results (``--verbose`` on the
@@ -94,12 +94,12 @@ class ExecutionReport:
     #: Checkpoint writes that died mid-stream (torn; journal entry
     #: discarded, shard re-runs on resume).
     torn_writes: int = 0
-    #: Work items stolen from stragglers by the elastic scheduler
-    #: (past a seeded deadline, then repacked onto the rest of
-    #: the pool — see :mod:`repro.sched`).
+    #: Shards stolen from stragglers by the elastic scheduler (past
+    #: a seeded deadline, then dispatched again whole — see
+    #: :mod:`repro.sched`).
     steals: int = 0
-    #: Work items dynamically resharded after a worker death (their
-    #: shard died with the pool and the scheduler repacked them).
+    #: Shards dynamically resharded after a worker death (they died
+    #: with the pool and the scheduler dispatched them again).
     reshards: int = 0
     #: Fleet-membership changes (devices joining or leaving a
     #: streaming deployment — see :mod:`repro.harness.exp_stream`).
@@ -164,8 +164,8 @@ class ExecutionReport:
             ("serial fallbacks", self.serial_fallbacks),
             ("checkpoint hits", self.checkpoint_hits),
             ("torn checkpoint writes", self.torn_writes),
-            ("items stolen from stragglers", self.steals),
-            ("items resharded after worker loss", self.reshards),
+            ("shards stolen from stragglers", self.steals),
+            ("shards resharded after worker loss", self.reshards),
             ("fleet churn events", self.churn_events),
         )
         for name, value in counters:
@@ -182,8 +182,8 @@ class PartialResult:
 
     The supervisor runs one pool attempt and *returns* whatever
     finished, plus the indices it could not finish — so the elastic
-    scheduler (:mod:`repro.sched`) can split, repack, and redistribute
-    the unfinished work instead of serializing it.
+    scheduler (:mod:`repro.sched`) can dispatch the unfinished work
+    again instead of serializing it.
     """
 
     #: Completed shard results, by submission index.

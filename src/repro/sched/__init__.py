@@ -1,16 +1,15 @@
 """Elastic, failure-driven shard scheduling for fleet-scale sweeps.
 
 Sits between the harnesses and :func:`repro.parallel.parallel_map`:
-a :class:`CostModel` turns archetype taxonomy and perf-trajectory
-calibration into relative shard weights, :func:`pack_by_weight` packs
-items into balanced weighted shards, and :class:`ElasticScheduler`
-drives the dispatch loop — stealing work from stragglers, resharding
-after worker loss, journaling every decision through the checkpoint
-layer before acting on it.  Scheduling never changes output bytes:
-every work item is pure and results merge in key order.
+sweeps pack their work into shards with :func:`pack_by_weight`
+(deterministic LPT over per-item weights), and
+:class:`ElasticScheduler` runs one shard per item — stealing shards
+from stragglers past an optional deadline, resharding after worker
+loss, journaling every decision through the checkpoint layer before
+acting on it.  Scheduling never changes output bytes: every work item
+is pure and results merge in key order.
 """
 
-from repro.sched.cost import ARCHETYPE_WEIGHTS, REFERENCE_ACTIONS, CostModel
 from repro.sched.scheduler import (
     DEADLINE_JITTER,
     MAX_IDLE_ROUNDS,
@@ -19,9 +18,6 @@ from repro.sched.scheduler import (
 )
 
 __all__ = [
-    "ARCHETYPE_WEIGHTS",
-    "REFERENCE_ACTIONS",
-    "CostModel",
     "DEADLINE_JITTER",
     "MAX_IDLE_ROUNDS",
     "ElasticScheduler",

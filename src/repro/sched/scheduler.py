@@ -1,29 +1,29 @@
 """The elastic shard scheduler between harnesses and the executor.
 
 One :func:`parallel_map` call runs each shard once and hands back
-whatever it could not finish.  A long-lived fleet run needs more:
-shards that cost different amounts must pack by *weight*, a straggler
-must not hold the round hostage (its work is *stolen* past a seeded
-deadline and repacked onto the rest of the pool), and a worker death
-must *reshard* the in-flight work instead of serializing it in the
-parent.
+whatever it could not finish.  A long-lived fleet run needs more: a
+straggler must not hold the round hostage (its shard is *stolen* past
+a seeded deadline and re-dispatched), and a worker death must
+*reshard* the in-flight work instead of serializing it in the parent.
 
 :class:`ElasticScheduler` implements that loop, and it is the one
 place that decides what happens to a shard the pool did not finish.
 Every sweep dispatches through it (:meth:`ElasticScheduler.for_sweep`
 opens the sweep's journal and report):
 
-1. Under a straggler deadline, pack pending items into weighted shards
-   (deterministic LPT, see :func:`pack_by_weight`) — one shard per
-   live worker slot.  Without one, each item is its own shard.
+1. Each item is one shard, journaled under its own key.  Sweeps that
+   want fewer, larger shards pack their work themselves
+   (deterministic LPT, see :func:`pack_by_weight`) and hand
+   :meth:`~ElasticScheduler.map` the packed shards.
 2. Write-ahead the assignment to the checkpoint journal's
    reassignment log, then dispatch the round through
    :func:`~repro.checkpoint.checkpointed_map`: journaled shards
    restore, the rest run once and are journaled as they complete.
-3. Take back whatever stalled (a *steal*: the items repack next
-   round, accounted in ``ExecutionReport.steals``) or died with a
-   worker (a *reshard*, accounted in ``reshards``) — each decision
-   journaled *before* it is acted on.
+3. Take back whatever stalled past the deadline (a *steal*, accounted
+   in ``ExecutionReport.steals``) or died with a worker (a *reshard*,
+   accounted in ``reshards``) — each decision journaled *before* it is
+   acted on — and dispatch it again next round.  A taken-back shard
+   re-runs whole.
 4. Repeat until done; if two consecutive rounds make no progress,
    log a ``fallback`` and run the remaining shards in-process
    (journaled, never injected, accounted in ``in_process_shards``),
@@ -40,6 +40,7 @@ never in deterministic output.
 """
 
 import heapq
+import math
 
 from repro.base.rng import stream
 from repro.checkpoint.journal import ShardJournal, checkpointed_map, run_key
@@ -82,15 +83,8 @@ def pack_by_weight(weights, bins):
     return [tuple(sorted(group)) for group in packed if group]
 
 
-def _run_group(payload):
-    """Execute one packed shard (module-level so the pool can pickle
-    it): run each item in order, return the values in that order."""
-    fn, items = payload
-    return [fn(item) for item in items]
-
-
 class ElasticScheduler:
-    """Weight-packing, work-stealing, resharding dispatch loop.
+    """Work-stealing, resharding dispatch loop, one shard per item.
 
     Parameters
     ----------
@@ -110,15 +104,20 @@ class ElasticScheduler:
         run (``steals``/``reshards`` on top of the supervisor's own
         counters).
     deadline: base straggler deadline in wall seconds (jittered per
-        round from the seeded stream).  ``None`` disables stealing and
-        packing: each item is then its own shard, journaled under its
-        own key.
+        round from the seeded stream), a positive finite number.
+        ``None`` disables stealing.
     seed: seeds the deadline-jitter stream only — scheduling decisions
         never touch the work items' own streams.
     """
 
     def __init__(self, workers=1, faults=None, journal=None, report=None,
                  deadline=None, seed=0):
+        if deadline is not None and not (
+                math.isfinite(deadline) and deadline > 0.0):
+            raise ValueError(
+                f"deadline must be a positive finite number of seconds "
+                f"or None, got {deadline!r}"
+            )
         self.workers = resolve_workers(workers)
         self.faults = faults
         self.journal = journal
@@ -139,19 +138,19 @@ class ElasticScheduler:
         entries).  *faults* drives both the executor channels and the
         journal's ``torn_write`` channel.  The report (a fresh
         :class:`~repro.parallel.ExecutionReport` unless given) is
-        ``scheduler.report``.
+        ``scheduler.report``.  Arguments are checked before the
+        journal opens, so a rejected call leaves it untouched.
         """
-        if report is None:
-            report = ExecutionReport()
-        journal = None
-        if checkpoint is not None:
-            journal = ShardJournal(checkpoint, run_key(*run_parts),
-                                   faults=faults, report=report)
-            journal.open(resume=resume)
-        elif resume:
+        if resume and checkpoint is None:
             raise ValueError("resume requires a checkpoint directory")
-        return cls(workers=workers, faults=faults, journal=journal,
-                   report=report, deadline=deadline, seed=seed)
+        scheduler = cls(workers=workers, faults=faults, report=report,
+                        deadline=deadline, seed=seed)
+        if checkpoint is not None:
+            scheduler.journal = ShardJournal(
+                checkpoint, run_key(*run_parts), faults=faults,
+                report=scheduler.report,
+            ).open(resume=resume)
+        return scheduler
 
     # ------------------------------------------------------------ helpers
 
@@ -178,13 +177,12 @@ class ElasticScheduler:
 
     # ---------------------------------------------------------------- map
 
-    def map(self, fn, items, keys, weights=None):
+    def map(self, fn, items, keys):
         """Ordered ``[fn(item) for item in items]``, elastically.
 
-        *keys* name the items (unique, stable across runs — they key
-        journal entries and the reassignment log).  *weights* are the
-        relative shard weights under a deadline (defaults to 1.0 per
-        item).  Item exceptions propagate exactly as
+        Each item is one shard.  *keys* name the items (unique, stable
+        across runs — they key journal entries and the reassignment
+        log).  Item exceptions propagate exactly as
         :func:`parallel_map`'s do.
         """
         items = list(items)
@@ -196,102 +194,65 @@ class ElasticScheduler:
             )
         if len(set(keys)) != len(keys):
             raise ValueError("item keys must be unique within one map")
-        if weights is None:
-            weights = [1.0] * len(items)
-        weights = [float(weight) for weight in weights]
-        if len(weights) != len(items):
-            raise ValueError(
-                f"need one weight per item, got {len(weights)} for "
-                f"{len(items)} items"
-            )
-        # Under a deadline, pack into at most one shard per worker: the
-        # deadline runs from submission, so a shard left queued behind
-        # the pool would be stolen for no reason.  Without one, each
-        # item is its own shard, journaled under its own key.
-        packed = self.deadline is not None
         done = {}
         pending = list(range(len(items)))
         idle_rounds = 0
         while pending:
             round_number = self.dispatch_rounds
             self.dispatch_rounds += 1
+            shards = [items[i] for i in pending]
+            shard_keys = [keys[i] for i in pending]
             # Escape hatch: when the storm keeps eating every dispatch,
             # run the remainder in-process (no pool, no injection) — it
             # always terminates.
-            forced = idle_rounds >= MAX_IDLE_ROUNDS
-            if forced:
+            if idle_rounds >= MAX_IDLE_ROUNDS:
                 self.report.record(
                     "sched-fallback",
                     f"{len(pending)} item(s) after {idle_rounds} idle "
                     f"round(s); forcing completion",
                 )
-                self._log("fallback", items=[keys[i] for i in pending])
-            if packed and not forced:
-                groups = pack_by_weight([weights[i] for i in pending],
-                                        min(self.workers, len(pending)))
-                # Map positions within `pending` back to item indices.
-                groups = [tuple(pending[p] for p in group)
-                          for group in groups]
-            else:
-                groups = [(index,) for index in pending]
-            if not forced:
-                # Write-ahead the assignment before acting on it.
-                self._log("assign", round=round_number,
-                          shards=[[keys[i] for i in group]
-                                  for group in groups])
-            if packed:
-                # A packed shard's content key is stable across runs
-                # that pack identically, so resumes restore whole groups.
-                shard_fn = _run_group
-                shards = [(fn, [items[i] for i in group])
-                          for group in groups]
-                shard_keys = ["grp|" + "+".join(keys[i] for i in group)
-                              for group in groups]
-            else:
-                shard_fn = fn
-                shards = [items[i] for (i,) in groups]
-                shard_keys = [keys[i] for (i,) in groups]
-            if forced:
+                self._log("fallback", items=shard_keys)
                 # Shards restored from the journal do not run at all.
                 hits_before = self.report.checkpoint_hits
                 partial = checkpointed_map(
-                    shard_fn, shards, shard_keys, self.journal,
+                    fn, shards, shard_keys, self.journal,
                     workers=1, report=self.report,
                 )
                 self.report.in_process_shards += len(shards) - (
                     self.report.checkpoint_hits - hits_before
                 )
             else:
+                # Write-ahead the assignment before acting on it.
+                self._log("assign", round=round_number,
+                          shards=[[key] for key in shard_keys])
                 partial = checkpointed_map(
-                    shard_fn, shards, shard_keys, self.journal,
+                    fn, shards, shard_keys, self.journal,
                     workers=self.workers, report=self.report,
                     deadline=self._round_deadline(round_number),
                     faults=self._round_faults(round_number),
                 )
             for position, value in partial.values.items():
-                group_values = value if packed else (value,)
-                for index, item_value in zip(groups[position], group_values):
-                    done[index] = item_value
-            # Steals and reshards: journal the decision, then let the
-            # next round's packing redistribute the returned items.
+                done[pending[position]] = value
+            # Steals and reshards: journal the decision, then dispatch
+            # the shard again next round.
             for position in partial.stalled:
-                stolen = [keys[i] for i in groups[position]]
-                self.report.steals += len(stolen)
+                self.report.steals += 1
                 self.report.record(
                     "steal",
-                    f"round {round_number}: stole {len(stolen)} "
-                    f"item(s) from straggler shard {position}",
+                    f"round {round_number}: stole shard "
+                    f"{shard_keys[position]} from a straggler",
                 )
-                self._log("steal", round=round_number, items=stolen)
+                self._log("steal", round=round_number,
+                          items=[shard_keys[position]])
             for position in partial.crashed:
-                lost = [keys[i] for i in groups[position]]
-                self.report.reshards += len(lost)
+                self.report.reshards += 1
                 self.report.record(
                     "reshard",
-                    f"round {round_number}: resharding {len(lost)} "
-                    f"item(s) after worker loss",
+                    f"round {round_number}: resharding shard "
+                    f"{shard_keys[position]} after worker loss",
                 )
-                self._log("reshard", round=round_number, items=lost)
+                self._log("reshard", round=round_number,
+                          items=[shard_keys[position]])
             before = len(pending)
             pending = [i for i in pending if i not in done]
             idle_rounds = idle_rounds + 1 if len(pending) == before else 0

@@ -4,33 +4,30 @@ The headline guarantees under test: weight packing is a deterministic
 partition, the scheduler's output equals a plain serial map under any
 injected kill/stall storm (failure schedules change timing, never
 bytes), every steal/reshard decision is journaled before it is acted
-on, and ``stream_sweep`` renders byte-identically across worker
-counts, executor storms, checkpoint resume — and reproduces the crowd
-sweep's aggregate bit-for-bit when churn and faults are off.
+on, the round loop packs one shard per worker without a deadline or
+any benchmark file, and ``stream_sweep`` renders byte-identically
+across worker counts, executor storms, checkpoint resume — and
+reproduces the crowd sweep's aggregate bit-for-bit when churn and
+faults are off.
 """
 
-import json
+import builtins
+import math
 import multiprocessing
 import os
+import pathlib
+import re
 import time
 
 import pytest
 
 from repro.checkpoint import ShardJournal, run_key
+from repro.cli import main
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_crowd import crowd_sweep
-from repro.harness.exp_stream import (
-    StreamResult,
-    stream_deadline,
-    stream_sweep,
-)
+from repro.harness.exp_stream import StreamResult, stream_sweep
 from repro.parallel import ExecutionReport
-from repro.sched import (
-    ARCHETYPE_WEIGHTS,
-    CostModel,
-    ElasticScheduler,
-    pack_by_weight,
-)
+from repro.sched import ElasticScheduler, pack_by_weight
 
 # ------------------------------------------------------------- packing
 
@@ -81,51 +78,6 @@ def test_pack_by_weight_rejects_bad_bins():
     assert pack_by_weight([], 0) == []
 
 
-# ---------------------------------------------------------- cost model
-
-
-def test_cost_model_archetype_weights():
-    model = CostModel()
-    assert model.archetype_weight("clean") == 1.0
-    assert model.archetype_weight("main_thread_blocking") \
-        == ARCHETYPE_WEIGHTS["main_thread_blocking"]
-    assert model.archetype_weight("never_heard_of_it") == 1.0
-
-
-def test_cost_model_unanchored_estimates_none():
-    model = CostModel()
-    assert model.ms_per_action is None
-    assert model.estimate_seconds(4.0) is None
-    assert "unanchored" in model.describe()
-
-
-def test_cost_model_from_trajectory_reads_committed_baseline():
-    """The committed BENCH_engine.json anchors the model; the weights
-    only ever steer scheduling, so this is a smoke that calibration
-    plumbing reads the real file."""
-    model = CostModel.from_trajectory()
-    if model.ms_per_action is not None:
-        assert model.ms_per_action > 0.0
-        assert model.estimate_seconds(1.0, actions=1000) > 0.0
-
-
-def test_cost_model_from_trajectory_degrades_on_garbage(tmp_path):
-    assert CostModel.from_trajectory(tmp_path).ms_per_action is None
-    (tmp_path / "BENCH_engine.json").write_text("not json")
-    assert CostModel.from_trajectory(tmp_path).ms_per_action is None
-    (tmp_path / "BENCH_engine.json").write_text(json.dumps(
-        {"entries": {"full_mode.columnar_ms_per_action": {"value": 0.5}}}
-    ))
-    assert CostModel.from_trajectory(tmp_path).ms_per_action == 0.5
-
-
-def test_stream_deadline_sized_from_anchor():
-    anchored = CostModel(ms_per_action=1.0)
-    deadline = stream_deadline(anchored, app_count=2, actions=40)
-    assert deadline is not None and deadline >= 5.0
-    assert stream_deadline(CostModel(), 2, 40) is None
-
-
 # ----------------------------------------------------------- scheduler
 
 
@@ -160,8 +112,33 @@ def test_scheduler_map_validates_inputs():
         sched.map(_cube, [1, 2], ["only"])
     with pytest.raises(ValueError, match="unique"):
         sched.map(_cube, [1, 2], ["same", "same"])
-    with pytest.raises(ValueError, match="one weight per item"):
-        sched.map(_cube, [1, 2], ["a", "b"], weights=[1.0])
+
+
+@pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan, math.inf])
+def test_scheduler_rejects_deadline_not_positive_finite(deadline):
+    """A deadline of 0, below 0 or NaN would steal every shard and run
+    the work in-process; inf overflows the executor's timeout."""
+    with pytest.raises(ValueError,
+                       match=re.escape(f"got {deadline!r}")):
+        ElasticScheduler(workers=2, deadline=deadline)
+
+
+def test_stream_cli_rejects_deadline_not_positive_finite(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["stream", "--quick", "--deadline", "nan"])
+    assert exit_info.value.code == 2
+    assert "--deadline" in capsys.readouterr().err
+
+
+def test_for_sweep_rejects_bad_deadline_before_opening_journal(tmp_path):
+    """Opening a journal without resume clears it, so a rejected call
+    must fail before that."""
+    journal = ShardJournal(tmp_path, run_key("sched-early")).open()
+    journal.record("kept", 1)
+    with pytest.raises(ValueError, match="deadline"):
+        ElasticScheduler.for_sweep("sched-early", checkpoint=tmp_path,
+                                   deadline=0.0)
+    assert len(list(journal.shards_dir.iterdir())) == 1
 
 
 def test_scheduler_output_survives_kill_storm():
@@ -181,16 +158,16 @@ def test_scheduler_output_survives_kill_storm():
 
 
 def test_scheduler_steals_from_real_straggler():
-    """A genuinely stalled worker blows the seeded deadline; its items
-    are stolen (reclaimed and repacked), and because the stall verdict
-    is worker-only, the re-dispatch completes them."""
+    """A genuinely stalled worker blows the seeded deadline; its shard
+    is stolen and re-dispatched whole, and because the stall verdict is
+    worker-only, the re-dispatch completes it."""
     items = list(range(6))
     expected = [_cube(x) for x in items]
     report = ExecutionReport()
     sched = ElasticScheduler(workers=3, report=report, deadline=1.0)
     result = sched.map(_stall_on_2, items, [f"k{i}" for i in items])
-    # _stall_on_2 only stalls in a worker process; the steal repacks
-    # item 2 into a later dispatch where it may stall again, and after
+    # _stall_on_2 only stalls in a worker process; the steal sends
+    # item 2 to a later dispatch where it may stall again, and after
     # MAX_IDLE_ROUNDS the fallback completes it in-process.
     assert result == expected
     assert report.steals >= 1
@@ -298,6 +275,54 @@ QUICK = dict(rounds=3, fleet_size=2, apps=("K9-mail",),
 def stream_serial(device):
     return stream_sweep(device, seed=5, churn_rate=0.25, workers=1,
                         **QUICK)
+
+
+@pytest.fixture()
+def benchmarks_unreadable(monkeypatch):
+    """Every read of a file with a ``benchmarks`` path component fails,
+    as it does in an install that ships no benchmark baselines."""
+    read_text = pathlib.Path.read_text
+    real_open = builtins.open
+
+    def refuse(path):
+        if "benchmarks" in pathlib.Path(path).parts:
+            raise OSError(f"no benchmark file in this install: {path}")
+
+    def guarded_read_text(self, *args, **kwargs):
+        refuse(self)
+        return read_text(self, *args, **kwargs)
+
+    def guarded_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            refuse(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", guarded_read_text)
+    monkeypatch.setattr(builtins, "open", guarded_open)
+
+
+def _journal_entries(directory):
+    return len(list((pathlib.Path(directory) / "shards").iterdir()))
+
+
+def test_round_loop_packs_without_deadline_or_benchmarks(
+        device, stream_serial, benchmarks_unreadable, tmp_path):
+    """The round loop packs each round into at most one shard per
+    worker by itself: at workers 1 the stream journals one entry per
+    round, and crowd one per round and fleet size on top of its
+    baseline's one per device round."""
+    stream = stream_sweep(device, seed=5, churn_rate=0.25, workers=1,
+                          checkpoint=tmp_path / "stream", **QUICK)
+    assert _journal_entries(tmp_path / "stream") == QUICK["rounds"]
+    assert stream.render() == stream_serial.render()
+    crowd = crowd_sweep(device, seed=5, fleet_sizes=(2, 3), rounds=2,
+                        apps=("K9-mail",), actions_per_round=8,
+                        workers=1, checkpoint=tmp_path / "crowd")
+    assert _journal_entries(tmp_path / "crowd") == 3 * 2 + 2 * 2
+    assert crowd.render() == crowd_sweep(
+        device, seed=5, fleet_sizes=(2, 3), rounds=2, apps=("K9-mail",),
+        actions_per_round=8, workers=2,
+    ).render()
 
 
 @pytest.mark.parametrize("workers", [2, 4])
