@@ -12,11 +12,12 @@ example runs the chaos sweep three ways and proves the recovery story:
    the lost ones into its next dispatch round (running them
    in-process if rounds stop making progress), and the
    `ExecutionReport` says exactly what happened;
-3. an "interrupted" run that journals only part of the sweep before
-   stopping, then a resumed run that restores the completed shards and
-   computes the rest.
+3. an "interrupted" two-worker run that journals only part of the
+   sweep before stopping, then a one-worker resume that restores the
+   finished items and computes the rest — the journal keys items, not
+   shards, so a resume reuses them at any worker count.
 
-Every variant renders byte-identical output, because each shard is a
+Every variant renders byte-identical output, because each item is a
 pure function of its payload and the journal only short-circuits
 *which process* computes it.
 
@@ -55,10 +56,11 @@ def main():
         print(report.describe())
 
     with tempfile.TemporaryDirectory() as checkpoint:
-        print("\n3. Interrupt after two shards, then resume")
-        # Journal only the first two cells by hand — the state an
-        # interrupted run leaves behind (kill -9 safe: every entry is
-        # written atomically the moment its shard completes).
+        print("\n3. Interrupt at two workers, resume at one")
+        # Journal the first two cells by hand, as one entry — the state
+        # a two-worker run leaves behind when it dies after one shard
+        # (kill -9 safe: a shard's items land in one atomic write the
+        # moment the shard completes).
         first_rate_only = dict(SWEEP, rates=(SWEEP["rates"][0],))
         partial = chaos_sweep(LG_V10, workers=2, **first_rate_only)
         journal = ShardJournal(
@@ -67,9 +69,10 @@ def main():
                     SWEEP["apps"], SWEEP["users"],
                     SWEEP["actions_per_user"]),
         ).open()
-        for cell in partial.cells:
-            journal.record(f"{cell.rate!r}|{cell.app_name}", cell)
-        resumed = chaos_sweep(LG_V10, workers=2, checkpoint=checkpoint,
+        journal.record({
+            f"{cell.rate!r}|{cell.app_name}": cell for cell in partial.cells
+        })
+        resumed = chaos_sweep(LG_V10, workers=1, checkpoint=checkpoint,
                               resume=True, **SWEEP)
         assert resumed.render() == reference.render()
         print("resumed run byte-identical to the reference; "

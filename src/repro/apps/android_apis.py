@@ -391,10 +391,14 @@ def heavy_loop(function_name, clazz, mean_ms=280.0, **kwargs):
 
 #: Initial contents of the known-blocking-API database (qualified
 #: names), as offline tools would ship it before Hang Doctor runs.
+_INITIAL_BLOCKING_NAMES = frozenset(
+    api.qualified_name
+    for api in KNOWN_BLOCKING_APIS + UNKNOWN_BLOCKING_APIS + IPC_APIS
+    if api.known_blocking
+)
+
+
 def initial_blocking_names():
-    """Qualified names of all APIs marked known_blocking."""
-    names = set()
-    for api in KNOWN_BLOCKING_APIS + UNKNOWN_BLOCKING_APIS + IPC_APIS:
-        if api.known_blocking:
-            names.add(api.qualified_name)
-    return names
+    """Qualified names of all APIs marked known_blocking, as a fresh
+    set the caller owns (databases grow theirs at runtime)."""
+    return set(_INITIAL_BLOCKING_NAMES)

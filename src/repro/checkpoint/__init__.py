@@ -1,10 +1,11 @@
 """Checkpointed experiment execution.
 
 Long sweeps (`repro chaos`, `repro crowd`, the fleet/Table 5 study,
-seed stability) journal every completed shard to disk so a crash or
-kill mid-run is restartable: ``--checkpoint DIR --resume`` skips the
-journaled shards and re-runs only the rest, producing byte-identical
-output to an uninterrupted run.  See :mod:`repro.checkpoint.journal`
+seed stability) journal every finished item to disk, one entry per
+completed shard, so a crash or kill mid-run is restartable:
+``--checkpoint DIR --resume`` skips the journaled items and re-runs
+only the rest, at any ``--workers``, producing byte-identical output
+to an uninterrupted run.  See :mod:`repro.checkpoint.journal`
 for the mechanics and safety properties.
 """
 

@@ -1,12 +1,14 @@
-"""The shard-level checkpoint journal behind every ``--checkpoint``.
+"""The item-level checkpoint journal behind every ``--checkpoint``.
 
-A long sweep decomposes into pure shards (see :mod:`repro.parallel`);
-the journal persists each shard's result the moment it completes, so a
-crash, deadline kill, or plain ``kill -9`` mid-sweep loses only the
-shards still in flight.  On ``--resume`` the sweep loads completed
-shards from the journal and re-runs the rest — and because every shard
-is a pure function of its payload, the resumed run's merged output is
-byte-identical to an uninterrupted one.
+A long sweep decomposes into pure items, which the elastic scheduler
+(:mod:`repro.sched`) runs alone or packed into shards; the journal
+persists the results of each shard's items the moment the shard
+completes, so a crash, deadline kill, or plain ``kill -9`` mid-sweep
+loses only the shards still in flight.  On ``--resume`` the sweep
+loads finished items from the journal and re-runs the rest — and
+because every item is a pure function of its payload, the resumed
+run's merged output is byte-identical to an uninterrupted one, under
+any packing or worker count.
 
 Safety properties:
 
@@ -18,13 +20,13 @@ Safety properties:
 * **Run-key guard**: the journal records a :func:`run_key` digest of
   the sweep's full parameterization.  Resuming with *any* different
   parameter (seed, apps, rates, device, ...) mismatches the key and
-  the journal resets instead of serving stale shards.
+  the journal resets instead of serving stale items.
 * **Corruption tolerance**: an unreadable or mislabeled entry is
-  treated as missing (the shard re-runs), mirroring the
+  treated as missing (its items re-run), mirroring the
   ``load_report``/``load_database`` never-raise contract.
 * **Best-effort writes**: a failed checkpoint write degrades (the
-  shard re-runs on resume) rather than crashing the sweep; failures
-  are accounted in the :class:`~repro.parallel.ExecutionReport`.
+  shard's items re-run on resume) rather than crashing the sweep;
+  failures are accounted in the :class:`~repro.parallel.ExecutionReport`.
 """
 
 import hashlib
@@ -36,15 +38,15 @@ import pickle
 from repro.core.persistence import atomic_write_bytes, atomic_write_text
 from repro.faults.injector import InjectedFault
 from repro.parallel import PartialResult, parallel_map
-from repro.telemetry import absorb_value
+from repro.telemetry import ShardTelemetry, absorb_value, collect_shard
 from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
 
 #: Journal layout version (bumped on incompatible changes; a mismatch
-#: resets the journal, never misreads it).  Schema 3: sweeps pack
-#: their own shards, so a schema-2 key may name another member set
-#: (scenarios) or hold one device round where a list is due (crowd).
-JOURNAL_SCHEMA = 3
+#: resets the journal, never misreads it).  Schema 4: an entry holds
+#: the ``(item key, value)`` pairs of the shard that wrote it, so a
+#: resume restores items under any packing.
+JOURNAL_SCHEMA = 4
 
 
 def run_key(*parts):
@@ -59,7 +61,12 @@ def run_key(*parts):
 
 
 class ShardJournal:
-    """A directory of completed-shard results keyed by shard id.
+    """A directory of finished items' results, indexed by item key.
+
+    Each finished shard lands as one entry holding its items'
+    ``(key, value)`` pairs; :meth:`open` with ``resume=True`` reads
+    every entry once into an index by item key, which :meth:`load`
+    and :meth:`completed` serve from.
 
     Parameters
     ----------
@@ -80,6 +87,7 @@ class ShardJournal:
         self.key = str(key) + ("+telemetry" if _telemetry_active() else "")
         self.faults = faults
         self.report = report
+        self._index = {}
 
     # ------------------------------------------------------------ layout
 
@@ -90,7 +98,7 @@ class ShardJournal:
 
     @property
     def shards_dir(self):
-        """Directory holding one pickle per completed shard."""
+        """Directory holding one pickle per finished shard."""
         return self.directory / "shards"
 
     @property
@@ -98,8 +106,11 @@ class ShardJournal:
         """Append-only JSONL log of scheduler reassignment decisions."""
         return self.directory / "reassignments.jsonl"
 
-    def _entry_path(self, shard_key):
-        digest = hashlib.sha256(str(shard_key).encode("utf-8")).hexdigest()
+    def _entry_path(self, *keys):
+        """The entry file of a shard's item *keys* (named by their
+        digest, so a one-item shard's entry is named by its key)."""
+        text = "\n".join(str(key) for key in keys)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return self.shards_dir / f"{digest[:32]}.pkl"
 
     # --------------------------------------------------------- lifecycle
@@ -110,10 +121,12 @@ class ShardJournal:
         Without *resume* the journal always starts empty.  With it,
         existing entries are kept only when the manifest's run key
         matches this sweep's — a missing, corrupt, or mismatched
-        manifest resets the journal (stale shards must never leak into
-        a differently-parameterized run).
+        manifest resets the journal (stale items must never leak into
+        a differently-parameterized run) — and are read once into the
+        item index.
         """
         if resume and self._manifest_matches():
+            self._index = self._read_entries()
             return self
         self.clear()
         self.shards_dir.mkdir(parents=True, exist_ok=True)
@@ -135,9 +148,28 @@ class ShardJournal:
             and payload.get("run_key") == self.key
         )
 
+    def _read_entries(self):
+        """Every journaled item value, by item key.
+
+        An entry that does not unpickle into ``(key, value)`` pairs, or
+        whose file is not named by its keys (a foreign or mislabeled
+        entry), is skipped: its items just re-run.
+        """
+        index = {}
+        for path in sorted(self.shards_dir.glob("*.pkl")):
+            try:
+                pairs = [(key, value) for key, value
+                         in pickle.loads(path.read_bytes())]
+            except Exception:  # noqa: BLE001 - any corruption means re-run
+                continue
+            if pairs and path == self._entry_path(*(k for k, _ in pairs)):
+                index.update(pairs)
+        return index
+
     def clear(self):
         """Drop every journal entry, the manifest, and the
         reassignment log."""
+        self._index = {}
         if self.shards_dir.is_dir():
             for path in self.shards_dir.iterdir():
                 try:
@@ -208,72 +240,86 @@ class ShardJournal:
 
     # ----------------------------------------------------------- entries
 
-    def record(self, shard_key, value):
-        """Persist one completed shard; best-effort, never raises.
+    def record(self, entries):
+        """Persist one finished shard's ``{item key: value}``;
+        best-effort, never raises.
 
-        A write that dies mid-stream (injected ``torn_write`` or a
-        real I/O error) is dropped — the destination entry stays
-        absent or intact-old, and the shard simply re-runs on resume.
-        Returns True when the entry landed.
+        The items land in one entry with one atomic write.  A write
+        that dies mid-stream (injected ``torn_write`` or a real I/O
+        error) is dropped — the destination entry stays absent or
+        intact-old, and the items simply re-run on resume.  Returns
+        True when the entry landed.
         """
-        payload = pickle.dumps((str(shard_key), value),
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        pairs = [(str(key), value) for key, value in entries.items()]
+        keys = [key for key, _ in pairs]
+        payload = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            atomic_write_bytes(self._entry_path(shard_key), payload,
-                               faults=self.faults, label=str(shard_key))
+            atomic_write_bytes(self._entry_path(*keys), payload,
+                               faults=self.faults, label="\n".join(keys))
         except (InjectedFault, OSError, pickle.PicklingError) as error:
             if self.report is not None:
                 self.report.torn_writes += 1
                 self.report.record(
                     "torn-write",
-                    f"checkpoint for shard {shard_key!r} lost "
+                    f"checkpoint of {len(keys)} item(s) lost "
                     f"({type(error).__name__})",
                 )
             return False
-        _telemetry_current().advisory_event("checkpoint.write",
-                                            shard=str(shard_key))
+        self._index.update(pairs)
+        _telemetry_current().advisory_event("checkpoint.write", items=keys)
         return True
 
-    def load(self, shard_key):
-        """Fetch one shard's journaled result.
+    def load(self, key):
+        """Fetch one item's journaled result.
 
-        Returns ``(True, value)`` on a hit; ``(False, None)`` when the
-        entry is absent, unreadable, or labeled with a different shard
-        key (hash-collision paranoia) — all of which just mean "re-run
-        the shard".
+        Returns ``(True, value)`` on a hit; ``(False, None)`` when no
+        readable entry holds the item — which just means "re-run it".
         """
-        path = self._entry_path(shard_key)
-        try:
-            stored_key, value = pickle.loads(path.read_bytes())
-        except Exception:  # noqa: BLE001 - any corruption means re-run
-            return False, None
-        if stored_key != str(shard_key):
-            return False, None
-        return True, value
+        key = str(key)
+        if key in self._index:
+            return True, self._index[key]
+        return False, None
 
-    def completed(self, shard_keys):
-        """The subset of *shard_keys* already journaled."""
-        return [key for key in shard_keys if self.load(key)[0]]
+    def completed(self, keys):
+        """The subset of item *keys* already journaled."""
+        return [key for key in keys if str(key) in self._index]
 
 
-def checkpointed_map(fn, items, keys, journal=None, **kwargs):
-    """:func:`~repro.parallel.parallel_map` with a shard journal.
+def _run_shard(payload):
+    """Run one shard's items in order (module-level so the process
+    pool can pickle it); returns their values in that order.
 
-    *keys* names each item's journal entry (same length as *items*).
-    Journaled shards are restored without re-running; the rest execute
-    through the supervised pool and are journaled the moment each
-    completes (via the executor's ``on_result`` hook), so an
-    interrupted call resumes from its last completed shard.  Returns
-    the executor's :class:`~repro.parallel.PartialResult` indexed like
-    *items*: restored and completed shards in ``values``, the rest
-    ``stalled`` or ``crashed`` for the caller (the elastic scheduler)
-    to dispatch again.  Output is byte-identical with, without, or across
-    interrupted journals.
+    Under a telemetry session each item runs under its own
+    :func:`~repro.telemetry.collect_shard` carrier, so an item records
+    the same telemetry alone, packed, or restored from the journal.
+    """
+    fn, members = payload
+    if _telemetry_active():
+        return [collect_shard(fn, item) for item in members]
+    return [fn(item) for item in members]
 
-    With ``journal=None`` this is exactly ``parallel_map(fn, items,
-    **kwargs)`` — except that the journal keys still name the shards'
-    default telemetry tracks, so a checkpointed and an unjournaled run
-    of the same sweep export identical traces.
+
+def checkpointed_map(fn, items, keys, journal=None, shards=None, **kwargs):
+    """:func:`~repro.parallel.parallel_map` over shards of items, with
+    an item journal.
+
+    *keys* names each item (same length as *items*, unique).  *shards*
+    packs the item positions into tuples, each run as one executor
+    shard with its items in order; by default each item is its own
+    shard.  Journaled items restore without re-running and leave their
+    shards; the rest execute through the supervised pool, and each
+    shard's items are journaled in one entry the moment it completes
+    (via the executor's ``on_result`` hook), so an interrupted call
+    resumes from its last completed shard.  Returns a
+    :class:`~repro.parallel.PartialResult` indexed like *items*:
+    restored and completed items in ``values``, the items of a stalled
+    or crashed shard ``stalled`` or ``crashed`` for the caller (the
+    elastic scheduler) to dispatch again.  Output is byte-identical
+    with, without, or across interrupted journals, for any packing.
+
+    With ``journal=None`` nothing restores or lands, and the item keys
+    still name the items' default telemetry tracks, so a checkpointed
+    and an unjournaled run of the same sweep export identical traces.
     """
     items = list(items)
     keys = [str(key) for key in keys]
@@ -283,43 +329,50 @@ def checkpointed_map(fn, items, keys, journal=None, **kwargs):
             f"{len(items)} items"
         )
     if len(set(keys)) != len(keys):
-        raise ValueError("shard keys must be unique within one map")
-    if journal is None:
-        return parallel_map(fn, items, shard_tracks=keys, **kwargs)
-    restored = {}
-    pending = []
-    for index, key in enumerate(keys):
-        hit, value = journal.load(key)
-        if hit:
-            # Restored carriers replay the shard's telemetry exactly
-            # as a fresh run would record it (per-track renumbering
-            # makes the restored-before-fresh absorption order moot).
-            _telemetry_current().advisory_event("checkpoint.restore",
-                                                shard=key)
-            restored[index] = absorb_value(value, key)
-        else:
-            pending.append(index)
+        raise ValueError("item keys must be unique within one map")
+    if shards is None:
+        shards = [(index,) for index in range(len(items))]
+    values = {}
+    if journal is not None:
+        for index, key in enumerate(keys):
+            hit, value = journal.load(key)
+            if hit:
+                # Restored carriers replay the item's telemetry exactly
+                # as a fresh run would record it (per-track renumbering
+                # makes the restored-before-fresh absorption order moot).
+                _telemetry_current().advisory_event("checkpoint.restore",
+                                                    shard=key)
+                values[index] = absorb_value(value, key)
     report = kwargs.get("report")
-    if report is not None and restored:
-        report.checkpoint_hits += len(restored)
+    if report is not None and values:
+        report.checkpoint_hits += len(values)
         report.record(
             "checkpoint",
-            f"restored {len(restored)}/{len(items)} shard(s) from "
+            f"restored {len(values)}/{len(items)} shard(s) from "
             f"{journal.directory}",
         )
+    groups = [tuple(i for i in shard if i not in values) for shard in shards]
+    groups = [group for group in groups if group]
 
-    def journal_result(position, value):
-        journal.record(keys[pending[position]], value)
+    def journal_shard(position, value):
+        if isinstance(value, ShardTelemetry):
+            value = value.value
+        journal.record({keys[i]: v for i, v in zip(groups[position], value)})
 
-    fresh = parallel_map(fn, [items[i] for i in pending],
-                         on_result=journal_result,
-                         shard_tracks=[keys[i] for i in pending], **kwargs)
-    restored.update(
-        (pending[position], value)
-        for position, value in fresh.values.items()
+    # Each item's carrier is absorbed on its own key below, so a
+    # shard's own carrier is empty and its track name never shows.
+    fresh = parallel_map(
+        _run_shard, [(fn, [items[i] for i in group]) for group in groups],
+        on_result=journal_shard if journal is not None else None,
+        shard_tracks=[keys[group[0]] for group in groups], **kwargs,
     )
+    finished = {}
+    for position, shard_values in fresh.values.items():
+        finished.update(zip(groups[position], shard_values))
+    for index in sorted(finished):
+        values[index] = absorb_value(finished[index], keys[index])
     return PartialResult(
-        values=restored,
-        stalled=tuple(pending[position] for position in fresh.stalled),
-        crashed=tuple(pending[position] for position in fresh.crashed),
+        values=values,
+        stalled=tuple(sorted(i for p in fresh.stalled for i in groups[p])),
+        crashed=tuple(sorted(i for p in fresh.crashed for i in groups[p])),
     )

@@ -169,12 +169,10 @@ def crowd_sweep(device, seed=0, fleet_sizes=DEFAULT_FLEET_SIZES, rounds=3,
     yields byte-identical output.  ``fault_rate`` drives the
     upload-path fault seams (drop / duplicate / delay); rate 0 never
     draws from the fault streams.  ``checkpoint``/``resume`` journal
-    every completed baseline device round and every completed shard of
-    a fleet's sync round (at most one per worker) so a killed sweep
-    restarts where it left off, byte-identically; a resume under a
-    different ``workers`` re-runs the sync-round shards.  ``report``
-    collects supervision events (also attached to the result as
-    ``execution``).
+    every finished device round, baseline and sync round alike, so a
+    killed sweep restarts where it left off, byte-identically, at any
+    ``workers``.  ``report`` collects supervision events (also
+    attached to the result as ``execution``).
     """
     apps = tuple(apps) if apps else CROWD_APPS
     fleet_sizes = tuple(fleet_sizes)

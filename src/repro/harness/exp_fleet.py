@@ -13,12 +13,12 @@ hangs).  Paper: context-switches 18/23, task-clock 12/23, page-faults
 
 The fleet study decomposes at *app* granularity: each app's simulated
 deployment depends only on (device, root seed, app), thanks to the
-per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` packs
-the corpus by session weight into one shard per worker
-(``workers=N``) and dispatches them through :mod:`repro.sched`; every
-app comes back as one cell, and the result is built once from the
-cells in corpus order, so the parallel output is bit-identical to the
-serial one regardless of worker count.
+per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` hands
+:mod:`repro.sched` one item per app, weighted by session count, which
+it packs into one shard per worker (``workers=N``); every app comes
+back as one cell, and the result is built once from the cells in
+corpus order, so the parallel output is bit-identical to the serial
+one regardless of worker count.
 
 :func:`deploy` is the one deployment path every deployment sweep
 shares: Table 5, the scenario sweep, the chaos sweep, and the crowd
@@ -41,8 +41,8 @@ from repro.detectors.offline import OfflineScanner
 from repro.detectors.runner import DetectorRun, run_detector
 from repro.harness.tables import render_table
 from repro.harness.training import validation_firings
-from repro.parallel import ExecutionReport, resolve_workers
-from repro.sched import ElasticScheduler, pack_by_weight
+from repro.parallel import ExecutionReport
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
@@ -167,71 +167,51 @@ class Table5Result:
         )
 
 
-def _table5_plan(apps, users, actions_per_user, bins):
-    """``(shapes, groups)`` of the corpus *apps*.
+def _table5_shape(app, users, actions_per_user):
+    """``(users, actions per user)`` of one corpus app's deployment:
+    catalog (bug-bearing) apps get the full user base, clean apps half
+    the users (at least one) and a third of the actions."""
+    if app.hang_bug_operations():
+        return users, actions_per_user
+    return max(1, users // 2), actions_per_user // 3
 
-    Each app's shape is its ``(users, actions per user)``: catalog
-    (bug-bearing) apps get the full user base, clean apps half the
-    users (at least one) and a third of the actions.  The groups pack
-    the corpus into at most *bins* by session weight (users × actions
-    per user) with deterministic LPT.
+
+def _table5_cell(payload):
+    """Deploy Hang Doctor on one corpus app (module-level so the
+    process pool can pickle it).
+
+    Returns ``(row, clean_flagged, discoveries)``: a :class:`Table5Row`
+    for a catalog (bug-bearing) app or ``None`` for a clean one, 1 if a
+    clean app was wrongly flagged, and the blocking APIs the app's own
+    database added at runtime.
     """
-    shapes = [
-        (users, actions_per_user) if app.hang_bug_operations()
-        else (max(1, users // 2), actions_per_user // 3)
-        for app in apps
-    ]
-    groups = pack_by_weight(
-        [app_users * per_user for app_users, per_user in shapes], bins
-    )
-    return shapes, groups
-
-
-def _table5_shard(payload):
-    """Deploy Hang Doctor on one packed group of the corpus
-    (module-level so the process pool can pickle it).
-
-    The group holds ``(index, app, (users, actions_per_user))``
-    triples.  Returns one ``(index, row, clean_flagged, discoveries)``
-    cell per app: a :class:`Table5Row` for catalog (bug-bearing) apps
-    or ``None`` for clean ones, 1 if a clean app was wrongly flagged,
-    and the blocking APIs the app's own database added at runtime.
-    """
-    device, seed, config, group = payload
-    generator = SessionGenerator(seed=seed)
-    scanner = OfflineScanner()
-    cells = []
+    device, seed, config, app, (users, actions_per_user) = payload
     tel = telemetry()
-    for index, app, (users, actions_per_user) in group:
-        # Track per app, not per shard: Table 5 shards are worker-count
-        # packings, so shard-derived names would break the byte-identity
-        # of traces across --workers.
-        with tel.track(f"fleet/{app.name}"):
-            tel.count("fleet.apps.run")
-            doctor, run = deploy(
-                app, device, fleet_app_seed(seed, app.name),
-                generator.fleet_sessions(app, users, actions_per_user),
-                config=config, blocking_db=BlockingApiDatabase.initial(),
-            )
-            detections = run.detections
-            discoveries = doctor.blocking_db.runtime_discoveries()
-            if not app.hang_bug_operations():
-                cells.append((index, None, 1 if detections else 0,
-                              discoveries))
-                continue
-            detected = detected_bug_sites(app, detections)
-            row = Table5Row(
-                app_name=app.name,
-                category=app.category,
-                downloads=app.downloads,
-                commit=app.commit,
-                issue_id=app.issue_id or 0,
-                bugs_detected=len(detected),
-                missed_offline=len(detected - scanner.detected_sites(app)),
-                ground_truth_bugs=len(app.hang_bug_operations()),
-            )
-            cells.append((index, row, 0, discoveries))
-    return cells
+    with tel.track(f"fleet/{app.name}"):
+        tel.count("fleet.apps.run")
+        doctor, run = deploy(
+            app, device, fleet_app_seed(seed, app.name),
+            SessionGenerator(seed=seed).fleet_sessions(
+                app, users, actions_per_user),
+            config=config, blocking_db=BlockingApiDatabase.initial(),
+        )
+        detections = run.detections
+        discoveries = doctor.blocking_db.runtime_discoveries()
+        if not app.hang_bug_operations():
+            return None, 1 if detections else 0, discoveries
+        detected = detected_bug_sites(app, detections)
+        row = Table5Row(
+            app_name=app.name,
+            category=app.category,
+            downloads=app.downloads,
+            commit=app.commit,
+            issue_id=app.issue_id or 0,
+            bugs_detected=len(detected),
+            missed_offline=len(
+                detected - OfflineScanner().detected_sites(app)),
+            ground_truth_bugs=len(app.hang_bug_operations()),
+        )
+        return row, 0, discoveries
 
 
 def table5(device, seed=0, users=4, actions_per_user=60,
@@ -239,47 +219,39 @@ def table5(device, seed=0, users=4, actions_per_user=60,
            resume=False, report=None):
     """Reproduce Table 5's fleet study (scaled-down user base).
 
-    ``workers`` packs the corpus by session weight (users × actions
-    per user) into at most one shard per worker; any worker count
-    yields byte-identical results (per-app seeds make every app's run
-    independent of corpus position and shard assignment, and the
-    result is built from the cells in corpus order).  Each app grows
-    its own blocking-API database from the shipped one; deduplicating
-    their discoveries first-seen in corpus order gives exactly the
-    list one shared database records serially.
-    ``checkpoint``/``resume`` journal completed shards so a killed run
-    restarts where it left off; shards are worker-count packings, so a
-    resume only reuses the journal when ``workers`` matches (anything
-    else re-runs from scratch, never mixes packings).  ``report``
+    Each corpus app is one item, weighted by its session count (users
+    × actions per user), so the scheduler packs the corpus into at
+    most one shard per worker; any worker count yields byte-identical
+    results (per-app seeds make every app's run independent of corpus
+    position and shard assignment, and the cells come back in corpus
+    order).  Each app grows its own blocking-API database from the
+    shipped one; deduplicating their discoveries first-seen in corpus
+    order gives exactly the list one shared database records serially.
+    ``checkpoint``/``resume`` journal finished apps so a killed run
+    restarts where it left off, at any ``workers``.  ``report``
     collects supervision events (also attached to the result as
     ``execution``).
     """
     scheduler = ElasticScheduler.for_sweep(
         "table5", device.name, seed, users, actions_per_user, corpus_size,
-        repr(config), resolve_workers(workers),
-        workers=workers, checkpoint=checkpoint, resume=resume,
-        report=report,
+        repr(config), workers=workers, checkpoint=checkpoint,
+        resume=resume, report=report,
     )
     apps = build_corpus(seed=seed, size=corpus_size)
-    shapes, groups = _table5_plan(apps, users, actions_per_user,
-                                  scheduler.workers)
-    shards = [
-        (device, seed, config,
-         [(index, apps[index], shapes[index]) for index in group])
-        for group in groups
-    ]
-    keys = [f"t5|{group[0]}-{group[-1]}x{len(group)}" for group in groups]
-    cells = sorted(
-        (cell for shard in scheduler.map(_table5_shard, shards, keys)
-         for cell in shard),
-        key=lambda cell: cell[0],
+    shapes = [_table5_shape(app, users, actions_per_user) for app in apps]
+    cells = scheduler.map(
+        _table5_cell,
+        [(device, seed, config, app, shape)
+         for app, shape in zip(apps, shapes)],
+        [f"t5|{app.name}" for app in apps],
+        weights=[app_users * per_user for app_users, per_user in shapes],
     )
     return Table5Result(
-        rows=[row for _, row, _, _ in cells if row is not None],
+        rows=[row for row, _, _ in cells if row is not None],
         apps_tested=len(cells),
-        clean_apps_flagged=sum(flagged for _, _, flagged, _ in cells),
+        clean_apps_flagged=sum(flagged for _, flagged, _ in cells),
         new_blocking_apis=list(dict.fromkeys(
-            name for _, _, _, discoveries in cells for name in discoveries
+            name for _, _, discoveries in cells for name in discoveries
         )),
         execution=scheduler.report,
     )

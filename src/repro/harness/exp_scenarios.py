@@ -19,14 +19,13 @@ Scoring (all at the granularity the paper's Table 5 uses):
   detection, as a fraction of the archetype's apps; the number the
   ``render_jank_benign`` archetype exists to pressure.
 
-The sweep decomposes at app granularity: fleet generation is
-index-addressable and every app's run is a pure function of (device,
-root seed, app).  Every app runs the same users × actions shape, so
-:func:`~repro.sched.pack_by_weight` packs the indices by uniform
-weight into one shard per worker.  The result is built once from the
-cells sorted back into fleet order, so any ``--workers`` count,
-packing, checkpoint resume, or repeat run renders byte-identical
-output.
+The sweep decomposes at app granularity: every app's run is a pure
+function of (device, root seed, app).  The fleet is generated once,
+and every app runs the same users × actions shape, so each app is one
+item of uniform weight, which the scheduler packs into one shard per
+worker.  The result is built once from the cells in fleet order, so
+any ``--workers`` count, packing, checkpoint resume, or repeat run
+renders byte-identical output.
 """
 
 import math
@@ -42,7 +41,7 @@ from repro.core.blocking_db import BlockingApiDatabase
 from repro.detectors.offline import OfflineScanner
 from repro.harness.exp_fleet import deploy, fleet_app_seed
 from repro.harness.tables import render_table
-from repro.parallel import ExecutionReport, resolve_workers
+from repro.parallel import ExecutionReport
 from repro.scenarios import (
     ARCHETYPES,
     DEFAULT_MIX,
@@ -51,7 +50,7 @@ from repro.scenarios import (
     parse_mix,
     render_mix,
 )
-from repro.sched import ElasticScheduler, pack_by_weight
+from repro.sched import ElasticScheduler
 from repro.telemetry import current as telemetry
 
 
@@ -172,60 +171,42 @@ class ScenarioResult:
         )
 
 
-def _run_scenario_app(entry, device, seed, users, actions_per_user,
-                      config, generator, scanner, blocking_db):
-    """Deploy Hang Doctor on one generated app; returns a ScenarioCell.
+def _scenario_cell(payload):
+    """Deploy Hang Doctor on one generated app (module-level so the
+    process pool can pickle it); returns its :class:`ScenarioCell`.
 
     Deploys through :func:`repro.harness.exp_fleet.deploy` with the
     fleet study's per-app seeds and session structure, so scenario
     numbers are directly comparable to the Table 5 fleet study's.
     """
+    device, seed, users, actions_per_user, config, entry = payload
     app = entry.app
-    _, run = deploy(
-        app, device, fleet_app_seed(seed, app.name),
-        generator.fleet_sessions(app, users, actions_per_user),
-        config=config, blocking_db=blocking_db,
-    )
-    detections = run.detections
-    detected = detected_bug_sites(app, detections)
-    offline = scanner.detected_sites(app)
-    return ScenarioCell(
-        index=entry.index,
-        archetype=entry.archetype,
-        app_name=app.name,
-        truth_sites=len(app.hang_bug_operations()),
-        detected_sites=len(detected),
-        offline_sites=len(detected & offline),
-        fp_actions=len(false_positive_actions(app, detections)),
-        hangs=sum(
-            1 for execution in run.executions if execution.has_soft_hang
-        ),
-        detections=len(detections),
-    )
-
-
-def _scenario_shard(payload):
-    """Run one packed group of the fleet (module-level so the process
-    pool can pickle it); returns its ScenarioCell list."""
-    (device, seed, size, mix, users, actions_per_user, config,
-     indices) = payload
-    fleet = generate_fleet(size, mix=mix, seed=seed, indices=indices)
-    generator = SessionGenerator(seed=seed)
-    blocking_db = BlockingApiDatabase.initial()
-    scanner = OfflineScanner()
-    cells = []
     tel = telemetry()
-    for entry in fleet:
-        # Track per app, not per shard: shards are worker-count
-        # packings, so shard-derived names would break trace
-        # byte-identity across --workers.
-        with tel.track(f"scenarios/{entry.app.name}"):
-            tel.count("scenarios.apps.run")
-            cells.append(_run_scenario_app(
-                entry, device, seed, users, actions_per_user, config,
-                generator, scanner, blocking_db,
-            ))
-    return cells
+    with tel.track(f"scenarios/{app.name}"):
+        tel.count("scenarios.apps.run")
+        _, run = deploy(
+            app, device, fleet_app_seed(seed, app.name),
+            SessionGenerator(seed=seed).fleet_sessions(
+                app, users, actions_per_user),
+            config=config, blocking_db=BlockingApiDatabase.initial(),
+        )
+        detections = run.detections
+        detected = detected_bug_sites(app, detections)
+        offline = OfflineScanner().detected_sites(app)
+        return ScenarioCell(
+            index=entry.index,
+            archetype=entry.archetype,
+            app_name=app.name,
+            truth_sites=len(app.hang_bug_operations()),
+            detected_sites=len(detected),
+            offline_sites=len(detected & offline),
+            fp_actions=len(false_positive_actions(app, detections)),
+            hangs=sum(
+                1 for execution in run.executions
+                if execution.has_soft_hang
+            ),
+            detections=len(detections),
+        )
 
 
 def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
@@ -234,40 +215,32 @@ def scenario_sweep(device, seed=0, size=1000, mix=DEFAULT_MIX, users=2,
     """Sweep a generated scenario fleet; returns a ScenarioResult.
 
     ``size`` and ``mix`` parameterize the fleet (see
-    :func:`repro.scenarios.parse_mix` for the mix syntax).  ``workers``
-    shards the fleet through the supervised pool as index sets packed
-    by uniform weight, one per worker: every app runs the same users ×
-    actions shape.  Per-app seeds and index-addressable generation
-    make every cell a pure function of its payload, and the result
-    sorts the cells by index, so any worker count yields
-    byte-identical output.  ``checkpoint``/``resume`` journal completed
-    shards the moment they finish, exactly like the other sweeps;
-    shards are worker-count packings, so a resume only reuses the
-    journal when ``workers`` matches.
+    :func:`repro.scenarios.parse_mix` for the mix syntax).  The fleet
+    is generated once, and each app is one item of uniform weight
+    (every app runs the same users × actions shape), so the scheduler
+    packs the fleet into at most one shard per worker.  Per-app seeds
+    make every cell a pure function of its payload, and the cells come
+    back in fleet order, so any worker count yields byte-identical
+    output.  ``checkpoint``/``resume`` journal finished apps the
+    moment their shard completes, exactly like the other sweeps, and a
+    resume at any ``workers`` reuses them.
     """
     mix = parse_mix(mix)
     if size <= 0:
         raise ValueError("size must be positive")
     scheduler = ElasticScheduler.for_sweep(
         "scenarios", device.name, seed, size, repr(mix), users,
-        actions_per_user, repr(config), resolve_workers(workers),
+        actions_per_user, repr(config),
         workers=workers, checkpoint=checkpoint, resume=resume,
         report=report,
     )
-    groups = pack_by_weight([1.0] * size, scheduler.workers)
-    shards = [
-        (device, seed, size, mix, users, actions_per_user, config,
-         indices)
-        for indices in groups
-    ]
-    keys = [
-        f"sc|{indices[0]}-{indices[-1]}x{len(indices)}"
-        for indices in groups
-    ]
-    cells = sorted(
-        (cell for group in scheduler.map(_scenario_shard, shards, keys)
-         for cell in group),
-        key=lambda cell: cell.index,
+    fleet = generate_fleet(size, mix=mix, seed=seed)
+    cells = scheduler.map(
+        _scenario_cell,
+        [(device, seed, users, actions_per_user, config, entry)
+         for entry in fleet],
+        [f"sc|{entry.index}" for entry in fleet],
+        weights=[1.0] * len(fleet),
     )
     return ScenarioResult(
         cells=cells, size=size, mix=mix, users=users,

@@ -12,10 +12,10 @@ reshard instead of serializing the round, and, under a ``deadline``,
 stragglers are stolen from.
 
 Both sweeps run the one round loop here, :func:`run_rounds`: churn,
-publish, pack the device rounds into at most one shard per worker and
-dispatch them, ingest the uploads, record the round's stats, and flush
-late batches at the end.  The crowd sweep is the loop with churn off
-and a publish every round, once per fleet size.
+publish, dispatch the device rounds (packed by the scheduler into at
+most one shard per worker), ingest the uploads, record the round's
+stats, and flush late batches at the end.  The crowd sweep is the
+loop with churn off and a publish every round, once per fleet size.
 
 Determinism contract (the acceptance criteria of the sweep smokes):
 
@@ -57,7 +57,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_fleet import deploy
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
-from repro.sched import ElasticScheduler, pack_by_weight
+from repro.sched import ElasticScheduler
 from repro.telemetry import current as telemetry
 
 #: Default app set: a representative slice of the Figure 8 apps.
@@ -112,8 +112,7 @@ def _crowd_device_round(payload):
     The payload's trailing *track* element names the telemetry track
     the round's records land on (e.g. ``crowd/fleet4/d1/r0``) — it has
     to travel in the payload because the baseline and the fleet's
-    round 0 are otherwise byte-identical payloads, and shard-derived
-    names would move with the worker count.
+    round 0 are otherwise byte-identical payloads.
     """
     (device, seed, app_names, device_index, round_index, actions,
      knowledge, db_names, track) = payload
@@ -158,13 +157,6 @@ def _crowd_device_round(payload):
         detected_sites=tuple(sites),
         batches=tuple(batches),
     )
-
-
-def _crowd_device_rounds(payloads):
-    """Run one packed shard of device rounds in order (module-level so
-    the process pool can pickle it); returns their results in that
-    order."""
-    return [_crowd_device_round(payload) for payload in payloads]
 
 
 def _ingest_round(aggregator, arrivals, new_results, faults, stats):
@@ -383,10 +375,10 @@ def run_rounds(scheduler, device, seed, rounds, fleet_size, apps,
     *upload_scope* stream); batches still in flight when the last
     round ends are flushed.  Records land on telemetry track *track*;
     the device round of device *d* in round *r* runs on track
-    ``{track}/d{d}/r{r}``.  Each round's device rounds pack, by
-    uniform weight, into at most ``scheduler.workers`` shards; a shard
-    is journaled under its members' keys ``{key_prefix}|r{r}|d{d}``
-    joined with ``+``.
+    ``{track}/d{d}/r{r}`` and is journaled under the key
+    ``{key_prefix}|r{r}|d{d}``.  Device rounds have uniform weight, so
+    the scheduler packs each round into at most ``scheduler.workers``
+    shards.
     """
     report = scheduler.report
     churn = None
@@ -444,25 +436,13 @@ def run_rounds(scheduler, device, seed, rounds, fleet_size, apps,
                 ]
                 # Deterministic dispatch accounting: a pure function of
                 # the round's members, never of dispatch rounds or
-                # journal hits.  Counted here, not in the scheduler,
-                # whose items are worker-count packings.
+                # journal hits.
                 tel.count("sched.maps")
                 tel.count("sched.items.mapped", len(payloads))
                 steals_before = report.steals
                 reshards_before = report.reshards
-                groups = pack_by_weight([1.0] * len(payloads),
-                                        scheduler.workers)
-                packed = scheduler.map(
-                    _crowd_device_rounds,
-                    [[payloads[i] for i in group] for group in groups],
-                    ["+".join(keys[i] for i in group) for group in groups],
-                )
-                # Back to member order, so ingest order never depends
-                # on the packing.
-                results = [None] * len(payloads)
-                for group, shard in zip(groups, packed):
-                    for index, result in zip(group, shard):
-                        results[index] = result
+                results = scheduler.map(_crowd_device_round, payloads, keys,
+                                        weights=[1.0] * len(payloads))
                 tel.advisory_event(
                     "stream.sched", round=round_index,
                     steals=report.steals - steals_before,
@@ -548,9 +528,7 @@ def stream_sweep(device, seed=0, rounds=DEFAULT_ROUNDS, fleet_size=4,
     rendered output and are deliberately excluded from the checkpoint
     run key, so a killed run resumes under any storm.  ``deadline``
     is the straggler steal deadline in wall seconds (only timing,
-    never output); ``None`` disables stealing.  Each round packs its
-    device rounds into at most one shard per worker, so a resume under
-    a different ``workers`` re-runs the shards it cannot match.
+    never output); ``None`` disables stealing.
     """
     apps = tuple(apps) if apps else CROWD_APPS
     if fleet_size < 1:

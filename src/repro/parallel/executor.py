@@ -85,21 +85,21 @@ class ExecutionReport:
     worker_crashes: int = 0
     #: Shards whose result wait exceeded the deadline.
     deadline_hits: int = 0
-    #: Shards the scheduler ran in-process as its last resort.
+    #: Items the scheduler ran in-process as its last resort.
     in_process_shards: int = 0
     #: Whole calls that wanted a pool but had to run serially.
     serial_fallbacks: int = 0
-    #: Shards restored from a checkpoint journal instead of re-run.
+    #: Items restored from a checkpoint journal instead of re-run.
     checkpoint_hits: int = 0
     #: Checkpoint writes that died mid-stream (torn; journal entry
-    #: discarded, shard re-runs on resume).
+    #: discarded, the shard's items re-run on resume).
     torn_writes: int = 0
-    #: Shards stolen from stragglers by the elastic scheduler (past
-    #: a seeded deadline, then dispatched again whole — see
-    #: :mod:`repro.sched`).
+    #: Items stolen from stragglers by the elastic scheduler (their
+    #: shard ran past a seeded deadline; they are dispatched again —
+    #: see :mod:`repro.sched`).
     steals: int = 0
-    #: Shards dynamically resharded after a worker death (they died
-    #: with the pool and the scheduler dispatched them again).
+    #: Items dynamically resharded after a worker death (their shard
+    #: died with the pool and the scheduler dispatched them again).
     reshards: int = 0
     #: Fleet-membership changes (devices joining or leaving a
     #: streaming deployment — see :mod:`repro.harness.exp_stream`).
@@ -164,8 +164,8 @@ class ExecutionReport:
             ("serial fallbacks", self.serial_fallbacks),
             ("checkpoint hits", self.checkpoint_hits),
             ("torn checkpoint writes", self.torn_writes),
-            ("shards stolen from stragglers", self.steals),
-            ("shards resharded after worker loss", self.reshards),
+            ("items stolen from stragglers", self.steals),
+            ("items resharded after worker loss", self.reshards),
             ("fleet churn events", self.churn_events),
         )
         for name, value in counters:

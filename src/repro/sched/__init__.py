@@ -1,13 +1,13 @@
 """Elastic, failure-driven shard scheduling for fleet-scale sweeps.
 
 Sits between the harnesses and :func:`repro.parallel.parallel_map`:
-sweeps pack their work into shards with :func:`pack_by_weight`
-(deterministic LPT over per-item weights), and
-:class:`ElasticScheduler` runs one shard per item — stealing shards
-from stragglers past an optional deadline, resharding after worker
-loss, journaling every decision through the checkpoint layer before
-acting on it.  Scheduling never changes output bytes: every work item
-is pure and results merge in key order.
+:class:`ElasticScheduler` runs one shard per item, or, given per-item
+weights, packs each dispatch round's pending items into at most one
+shard per worker with :func:`pack_by_weight` (deterministic LPT) —
+stealing from stragglers past an optional deadline, resharding after
+worker loss, journaling every item and every decision through the
+checkpoint layer.  Scheduling never changes output bytes: every work
+item is pure and results merge in key order.
 """
 
 from repro.sched.scheduler import (

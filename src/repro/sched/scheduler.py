@@ -11,21 +11,23 @@ place that decides what happens to a shard the pool did not finish.
 Every sweep dispatches through it (:meth:`ElasticScheduler.for_sweep`
 opens the sweep's journal and report):
 
-1. Each item is one shard, journaled under its own key.  Sweeps that
-   want fewer, larger shards pack their work themselves
-   (deterministic LPT, see :func:`pack_by_weight`) and hand
-   :meth:`~ElasticScheduler.map` the packed shards.
+1. Pack the pending items into shards.  Without weights each item is
+   its own shard; with them, the round packs the pending items by
+   weight into at most ``workers`` shards (deterministic LPT, see
+   :func:`pack_by_weight`), whose items run in order.
 2. Write-ahead the assignment to the checkpoint journal's
    reassignment log, then dispatch the round through
-   :func:`~repro.checkpoint.checkpointed_map`: journaled shards
-   restore, the rest run once and are journaled as they complete.
+   :func:`~repro.checkpoint.checkpointed_map`: journaled items
+   restore, the rest run once, and each shard's items are journaled,
+   keyed by item, the moment the shard completes — so a resume
+   restores every finished item under any packing or worker count.
 3. Take back whatever stalled past the deadline (a *steal*, accounted
    in ``ExecutionReport.steals``) or died with a worker (a *reshard*,
    accounted in ``reshards``) — each decision journaled *before* it is
-   acted on — and dispatch it again next round.  A taken-back shard
-   re-runs whole.
+   acted on — and dispatch those items again next round, repacked
+   with the rest of the pending items.
 4. Repeat until done; if two consecutive rounds make no progress,
-   log a ``fallback`` and run the remaining shards in-process
+   log a ``fallback`` and run the remaining items in-process
    (journaled, never injected, accounted in ``in_process_shards``),
    which always terminates.
 
@@ -84,7 +86,7 @@ def pack_by_weight(weights, bins):
 
 
 class ElasticScheduler:
-    """Work-stealing, resharding dispatch loop, one shard per item.
+    """Work-stealing, resharding dispatch loop over packed shards.
 
     Parameters
     ----------
@@ -96,9 +98,9 @@ class ElasticScheduler:
         exercise stealing and resharding without livelocking the loop.
     journal: optional :class:`~repro.checkpoint.ShardJournal`; every
         dispatch round goes through
-        :func:`~repro.checkpoint.checkpointed_map`, so completed shards
-        are journaled the moment they finish (an interrupted run
-        resumes from its last completed shard) and every
+        :func:`~repro.checkpoint.checkpointed_map`, so a completed
+        shard's items are journaled the moment it finishes (an
+        interrupted run resumes from its finished items) and every
         assignment/steal/reshard is write-ahead logged.
     report: :class:`~repro.parallel.ExecutionReport` accounting the
         run (``steals``/``reshards`` on top of the supervisor's own
@@ -177,13 +179,16 @@ class ElasticScheduler:
 
     # ---------------------------------------------------------------- map
 
-    def map(self, fn, items, keys):
+    def map(self, fn, items, keys, weights=None):
         """Ordered ``[fn(item) for item in items]``, elastically.
 
-        Each item is one shard.  *keys* name the items (unique, stable
-        across runs — they key journal entries and the reassignment
-        log).  Item exceptions propagate exactly as
-        :func:`parallel_map`'s do.
+        *keys* name the items (unique, stable across runs — they key
+        journal entries and the reassignment log).  Without *weights*
+        each item is its own shard.  With *weights* (one per item),
+        each dispatch round packs the pending items by weight into at
+        most ``workers`` shards, and a shard runs its items in order.
+        Steal and reshard counts are item counts.  Item exceptions
+        propagate exactly as :func:`parallel_map`'s do.
         """
         items = list(items)
         keys = [str(key) for key in keys]
@@ -194,14 +199,24 @@ class ElasticScheduler:
             )
         if len(set(keys)) != len(keys):
             raise ValueError("item keys must be unique within one map")
+        if weights is not None and len(weights) != len(items):
+            raise ValueError(
+                f"need one weight per item, got {len(weights)} weights "
+                f"for {len(items)} items"
+            )
         done = {}
         pending = list(range(len(items)))
         idle_rounds = 0
         while pending:
             round_number = self.dispatch_rounds
             self.dispatch_rounds += 1
-            shards = [items[i] for i in pending]
-            shard_keys = [keys[i] for i in pending]
+            round_items = [items[i] for i in pending]
+            round_keys = [keys[i] for i in pending]
+            if weights is None:
+                shards = [(position,) for position in range(len(pending))]
+            else:
+                shards = pack_by_weight([weights[i] for i in pending],
+                                        self.workers)
             # Escape hatch: when the storm keeps eating every dispatch,
             # run the remainder in-process (no pool, no injection) — it
             # always terminates.
@@ -211,48 +226,50 @@ class ElasticScheduler:
                     f"{len(pending)} item(s) after {idle_rounds} idle "
                     f"round(s); forcing completion",
                 )
-                self._log("fallback", items=shard_keys)
-                # Shards restored from the journal do not run at all.
+                self._log("fallback", items=round_keys)
+                # Items restored from the journal do not run at all.
                 hits_before = self.report.checkpoint_hits
                 partial = checkpointed_map(
-                    fn, shards, shard_keys, self.journal,
-                    workers=1, report=self.report,
+                    fn, round_items, round_keys, self.journal,
+                    shards=shards, workers=1, report=self.report,
                 )
-                self.report.in_process_shards += len(shards) - (
+                self.report.in_process_shards += len(round_items) - (
                     self.report.checkpoint_hits - hits_before
                 )
             else:
                 # Write-ahead the assignment before acting on it.
                 self._log("assign", round=round_number,
-                          shards=[[key] for key in shard_keys])
+                          shards=[[round_keys[p] for p in shard]
+                                  for shard in shards])
                 partial = checkpointed_map(
-                    fn, shards, shard_keys, self.journal,
-                    workers=self.workers, report=self.report,
+                    fn, round_items, round_keys, self.journal,
+                    shards=shards, workers=self.workers,
+                    report=self.report,
                     deadline=self._round_deadline(round_number),
                     faults=self._round_faults(round_number),
                 )
             for position, value in partial.values.items():
                 done[pending[position]] = value
             # Steals and reshards: journal the decision, then dispatch
-            # the shard again next round.
+            # the item again next round.
             for position in partial.stalled:
                 self.report.steals += 1
                 self.report.record(
                     "steal",
-                    f"round {round_number}: stole shard "
-                    f"{shard_keys[position]} from a straggler",
+                    f"round {round_number}: stole item "
+                    f"{round_keys[position]} from a straggler",
                 )
                 self._log("steal", round=round_number,
-                          items=[shard_keys[position]])
+                          items=[round_keys[position]])
             for position in partial.crashed:
                 self.report.reshards += 1
                 self.report.record(
                     "reshard",
-                    f"round {round_number}: resharding shard "
-                    f"{shard_keys[position]} after worker loss",
+                    f"round {round_number}: resharding item "
+                    f"{round_keys[position]} after worker loss",
                 )
                 self._log("reshard", round=round_number,
-                          items=[shard_keys[position]])
+                          items=[round_keys[position]])
             before = len(pending)
             pending = [i for i in pending if i not in done]
             idle_rounds = idle_rounds + 1 if len(pending) == before else 0

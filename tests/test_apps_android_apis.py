@@ -46,6 +46,20 @@ def test_initial_blocking_names_exclude_unknown_apis():
             assert api.qualified_name not in names
 
 
+def test_initial_blocking_names_is_a_fresh_set_per_call():
+    """The shipped names are built once, but each caller owns its
+    copy: databases add runtime discoveries to theirs."""
+    first = apis.initial_blocking_names()
+    second = apis.initial_blocking_names()
+    assert isinstance(first, set)
+    assert first == second
+    assert first is not second
+    expected = set(second)
+    first.add("com.example.Mutated.call")
+    first.discard(next(iter(expected)))
+    assert apis.initial_blocking_names() == expected
+
+
 def test_database_initial_matches_registry():
     db = BlockingApiDatabase.initial()
     assert db.names() == apis.initial_blocking_names()

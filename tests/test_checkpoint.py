@@ -44,8 +44,8 @@ def _triple_dies_late(x):
 
 def test_journal_round_trip(tmp_path):
     journal = ShardJournal(tmp_path, run_key("exp", 0)).open()
-    assert journal.record("a", {"v": 1})
-    assert journal.record("b", [1, 2, 3])
+    assert journal.record({"a": {"v": 1}})
+    assert journal.record({"b": [1, 2, 3]})
     assert journal.load("a") == (True, {"v": 1})
     assert journal.load("b") == (True, [1, 2, 3])
     assert journal.load("missing") == (False, None)
@@ -54,7 +54,7 @@ def test_journal_round_trip(tmp_path):
 
 def test_journal_resume_keeps_matching_run_key(tmp_path):
     key = run_key("exp", "LG_V10", 7)
-    ShardJournal(tmp_path, key).open().record("s", 42)
+    ShardJournal(tmp_path, key).open().record({"s": 42})
     resumed = ShardJournal(tmp_path, key).open(resume=True)
     assert resumed.load("s") == (True, 42)
 
@@ -62,25 +62,27 @@ def test_journal_resume_keeps_matching_run_key(tmp_path):
 def test_journal_resets_on_run_key_mismatch(tmp_path):
     """Any changed sweep parameter changes the run key, and stale
     shards must never leak into the differently-parameterized run."""
-    ShardJournal(tmp_path, run_key("exp", 7)).open().record("s", 42)
+    ShardJournal(tmp_path, run_key("exp", 7)).open().record({"s": 42})
     other = ShardJournal(tmp_path, run_key("exp", 8)).open(resume=True)
     assert other.load("s") == (False, None)
 
 
 def test_journal_without_resume_always_starts_empty(tmp_path):
     key = run_key("exp", 0)
-    ShardJournal(tmp_path, key).open().record("s", 42)
+    ShardJournal(tmp_path, key).open().record({"s": 42})
     fresh = ShardJournal(tmp_path, key).open(resume=False)
     assert fresh.load("s") == (False, None)
 
 
 def test_journal_treats_corruption_as_missing(tmp_path):
     journal = ShardJournal(tmp_path, run_key("exp", 0)).open()
-    journal.record("s", 42)
+    journal.record({"s": 42})
     path = journal._entry_path("s")
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    journal = ShardJournal(tmp_path, run_key("exp", 0)).open(resume=True)
     assert journal.load("s") == (False, None)
     path.write_bytes(pickle.dumps(("someone-else", 99)))
+    journal = ShardJournal(tmp_path, run_key("exp", 0)).open(resume=True)
     assert journal.load("s") == (False, None)  # mislabeled entry
 
 
@@ -96,14 +98,14 @@ def test_torn_write_leaves_existing_entry_intact(tmp_path):
     """The crash-atomic contract: a write that dies mid-stream never
     clobbers the previous good entry, and is accounted, not raised."""
     key = run_key("exp", 0)
-    ShardJournal(tmp_path, key).open().record("s", "old")
+    ShardJournal(tmp_path, key).open().record({"s": "old"})
     report = ExecutionReport()
     torn = ShardJournal(
         tmp_path, key,
         faults=FaultInjector(FaultPlan(torn_write_rate=1.0), seed=0),
         report=report,
     ).open(resume=True)
-    assert not torn.record("s", "new")
+    assert not torn.record({"s": "new"})
     assert torn.load("s") == (True, "old")
     assert report.torn_writes == 1
     # The simulated crash leaves exactly what a real one would: a
@@ -130,7 +132,7 @@ def test_reassignment_after_torn_tail_lands_on_its_own_line(tmp_path):
 def test_journal_schema_mismatch_resets(tmp_path):
     key = run_key("exp", 0)
     journal = ShardJournal(tmp_path, key).open()
-    journal.record("s", 42)
+    journal.record({"s": 42})
     manifest = journal.manifest_path.read_text()
     journal.manifest_path.write_text(
         manifest.replace(str(JOURNAL_SCHEMA), str(JOURNAL_SCHEMA + 1), 1)

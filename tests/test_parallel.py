@@ -20,7 +20,7 @@ from repro.detectors.runner import DetectorRun
 from repro.harness.exp_comparison import figure8, fit_utilization_thresholds
 from repro.harness.exp_fleet import (
     Table5Result,
-    _table5_plan,
+    _table5_shape,
     fleet_app_seed,
     table5,
 )
@@ -31,7 +31,7 @@ from repro.parallel import (
     parallel_map,
     resolve_workers,
 )
-from repro.sched import ElasticScheduler
+from repro.sched import ElasticScheduler, pack_by_weight
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current, export_jsonl, session
 
@@ -288,11 +288,12 @@ def test_table5_plan_balances_session_weight():
     weights are balanced.  Contiguous halves read 1.48 here, because
     the 16 heavy catalog apps are corpus indices 0-15."""
     apps = build_corpus(seed=7)
-    shapes, groups = _table5_plan(apps, users=5, actions_per_user=80,
-                                  bins=2)
+    shapes = [_table5_shape(app, users=5, actions_per_user=80)
+              for app in apps]
+    weights = [users * actions for users, actions in shapes]
+    groups = pack_by_weight(weights, 2)
     assert sorted(i for group in groups for i in group) == \
         list(range(len(apps)))
-    weights = [users * actions for users, actions in shapes]
     loads = [sum(weights[i] for i in group) for group in groups]
     assert len(loads) == 2
     assert max(loads) / (sum(loads) / len(loads)) <= 1.01

@@ -134,7 +134,7 @@ def test_for_sweep_rejects_bad_deadline_before_opening_journal(tmp_path):
     """Opening a journal without resume clears it, so a rejected call
     must fail before that."""
     journal = ShardJournal(tmp_path, run_key("sched-early")).open()
-    journal.record("kept", 1)
+    journal.record({"kept": 1})
     with pytest.raises(ValueError, match="deadline"):
         ElasticScheduler.for_sweep("sched-early", checkpoint=tmp_path,
                                    deadline=0.0)
@@ -239,11 +239,12 @@ class _EntrySeesLog(ShardJournal):
         super().__init__(*args, **kwargs)
         self.logged_before = {}
 
-    def record(self, shard_key, value):
-        self.logged_before[str(shard_key)] = [
-            record["kind"] for record in self.reassignments()
-        ]
-        return super().record(shard_key, value)
+    def record(self, entries):
+        for key in entries:
+            self.logged_before[str(key)] = [
+                record["kind"] for record in self.reassignments()
+            ]
+        return super().record(entries)
 
 
 def test_scheduler_escape_hatch_runs_doomed_shards_in_process(tmp_path):

@@ -88,3 +88,20 @@ def test_resume_requires_checkpoint(device, name):
     sweep, params, _ = SWEEPS[name]
     with pytest.raises(ValueError, match="resume requires"):
         sweep(device, resume=True, **params)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_resume_at_another_worker_count_restores_every_item(device, name,
+                                                            tmp_path):
+    """The journal keys items, not packed shards: a journal written at
+    workers 2 serves every item to a resume at workers 1 or 3, which
+    runs nothing and renders the pinned digest."""
+    sweep, params, digest = SWEEPS[name]
+    checkpoint = str(tmp_path / "ckpt")
+    sweep(device, workers=2, checkpoint=checkpoint, **params)
+    for workers in (1, 3):
+        resumed = sweep(device, workers=workers, checkpoint=checkpoint,
+                        resume=True, **params)
+        assert _digest(resumed) == digest
+        assert resumed.execution.checkpoint_hits > 0
+        assert resumed.execution.shards == 0
