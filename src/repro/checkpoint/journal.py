@@ -4,11 +4,12 @@ A long sweep decomposes into pure items, which the elastic scheduler
 (:mod:`repro.sched`) runs alone or packed into shards; the journal
 persists the results of each shard's items the moment the shard
 completes, so a crash, deadline kill, or plain ``kill -9`` mid-sweep
-loses only the shards still in flight.  On ``--resume`` the sweep
-loads finished items from the journal and re-runs the rest — and
-because every item is a pure function of its payload, the resumed
-run's merged output is byte-identical to an uninterrupted one, under
-any packing or worker count.
+loses only the shards still in flight.  On ``--resume`` the
+scheduler restores the finished items from the journal once, before it
+packs the rest, and re-runs only those — and because every item is a
+pure function of its payload, the resumed run's merged output is
+byte-identical to an uninterrupted one, under any packing or worker
+count.
 
 Safety properties:
 
@@ -38,7 +39,7 @@ import pickle
 from repro.core.persistence import atomic_write_bytes, atomic_write_text
 from repro.faults.injector import InjectedFault
 from repro.parallel import PartialResult, parallel_map
-from repro.telemetry import ShardTelemetry, absorb_value, collect_shard
+from repro.telemetry import absorb_value, collect_shard
 from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
 
@@ -75,7 +76,7 @@ class ShardJournal:
     faults: optional :class:`~repro.faults.FaultInjector` whose
         ``torn_write`` channel exercises the crash-atomic write path.
     report: optional :class:`~repro.parallel.ExecutionReport` that
-        accounts checkpoint hits and torn writes.
+        accounts torn writes.
     """
 
     def __init__(self, directory, key, faults=None, report=None):
@@ -289,12 +290,14 @@ def _run_shard(payload):
     """Run one shard's items in order (module-level so the process
     pool can pickle it); returns their values in that order.
 
-    Under a telemetry session each item runs under its own
+    With the payload's *collect* flag each item runs under its own
     :func:`~repro.telemetry.collect_shard` carrier, so an item records
     the same telemetry alone, packed, or restored from the journal.
+    The parent sets the flag: a worker's own session is a fork-time
+    copy of the parent's, or none at all under ``spawn``.
     """
-    fn, members = payload
-    if _telemetry_active():
+    fn, members, collect = payload
+    if collect:
         return [collect_shard(fn, item) for item in members]
     return [fn(item) for item in members]
 
@@ -303,76 +306,42 @@ def checkpointed_map(fn, items, keys, journal=None, shards=None, **kwargs):
     """:func:`~repro.parallel.parallel_map` over shards of items, with
     an item journal.
 
-    *keys* names each item (same length as *items*, unique).  *shards*
-    packs the item positions into tuples, each run as one executor
-    shard with its items in order; by default each item is its own
-    shard.  Journaled items restore without re-running and leave their
-    shards; the rest execute through the supervised pool, and each
-    shard's items are journaled in one entry the moment it completes
-    (via the executor's ``on_result`` hook), so an interrupted call
-    resumes from its last completed shard.  Returns a
+    *keys* names each item.  *shards* packs the item positions into
+    tuples, each run as one executor shard with its items in order; by
+    default each item is its own shard.  Each shard's items are
+    journaled in one entry the moment it completes (via the executor's
+    ``on_result`` hook), so an interrupted call resumes from its last
+    completed shard.  Restoring is the caller's job:
+    :meth:`~repro.sched.ElasticScheduler.map` restores journaled items
+    before it packs and passes only the pending ones here.  Returns a
     :class:`~repro.parallel.PartialResult` indexed like *items*:
-    restored and completed items in ``values``, the items of a stalled
-    or crashed shard ``stalled`` or ``crashed`` for the caller (the
-    elastic scheduler) to dispatch again.  Output is byte-identical
-    with, without, or across interrupted journals, for any packing.
+    completed items in ``values``, the items of a stalled or crashed
+    shard ``stalled`` or ``crashed`` for the caller to dispatch again.
 
-    With ``journal=None`` nothing restores or lands, and the item keys
-    still name the items' default telemetry tracks, so a checkpointed
-    and an unjournaled run of the same sweep export identical traces.
+    Under a telemetry session each item runs under its own carrier,
+    absorbed on its key (its default track) in ascending item order,
+    so a checkpointed and an unjournaled run export identical traces.
     """
     items = list(items)
     keys = [str(key) for key in keys]
-    if len(items) != len(keys):
-        raise ValueError(
-            f"need one key per item, got {len(keys)} keys for "
-            f"{len(items)} items"
-        )
-    if len(set(keys)) != len(keys):
-        raise ValueError("item keys must be unique within one map")
     if shards is None:
         shards = [(index,) for index in range(len(items))]
-    values = {}
-    if journal is not None:
-        for index, key in enumerate(keys):
-            hit, value = journal.load(key)
-            if hit:
-                # Restored carriers replay the item's telemetry exactly
-                # as a fresh run would record it (per-track renumbering
-                # makes the restored-before-fresh absorption order moot).
-                _telemetry_current().advisory_event("checkpoint.restore",
-                                                    shard=key)
-                values[index] = absorb_value(value, key)
-    report = kwargs.get("report")
-    if report is not None and values:
-        report.checkpoint_hits += len(values)
-        report.record(
-            "checkpoint",
-            f"restored {len(values)}/{len(items)} shard(s) from "
-            f"{journal.directory}",
-        )
-    groups = [tuple(i for i in shard if i not in values) for shard in shards]
-    groups = [group for group in groups if group]
+    collect = _telemetry_active()
 
-    def journal_shard(position, value):
-        if isinstance(value, ShardTelemetry):
-            value = value.value
-        journal.record({keys[i]: v for i, v in zip(groups[position], value)})
+    def journal_shard(position, values):
+        journal.record({keys[i]: v for i, v in zip(shards[position], values)})
 
-    # Each item's carrier is absorbed on its own key below, so a
-    # shard's own carrier is empty and its track name never shows.
     fresh = parallel_map(
-        _run_shard, [(fn, [items[i] for i in group]) for group in groups],
-        on_result=journal_shard if journal is not None else None,
-        shard_tracks=[keys[group[0]] for group in groups], **kwargs,
+        _run_shard,
+        [(fn, [items[i] for i in shard], collect) for shard in shards],
+        on_result=journal_shard if journal is not None else None, **kwargs,
     )
     finished = {}
     for position, shard_values in fresh.values.items():
-        finished.update(zip(groups[position], shard_values))
-    for index in sorted(finished):
-        values[index] = absorb_value(finished[index], keys[index])
+        finished.update(zip(shards[position], shard_values))
     return PartialResult(
-        values=values,
-        stalled=tuple(sorted(i for p in fresh.stalled for i in groups[p])),
-        crashed=tuple(sorted(i for p in fresh.crashed for i in groups[p])),
+        values={index: absorb_value(finished[index], keys[index])
+                for index in sorted(finished)},
+        stalled=tuple(sorted(i for p in fresh.stalled for i in shards[p])),
+        crashed=tuple(sorted(i for p in fresh.crashed for i in shards[p])),
     )

@@ -14,10 +14,11 @@ that runs each shard once on a supervised
 deadlines, and returns a :class:`PartialResult` naming the shards that
 stalled or died with the pool, for the elastic scheduler
 (:mod:`repro.sched`) to re-dispatch.  It runs in-process, completing
-every shard, when ``workers=1``, when the work is too small to shard,
-or when the payload cannot cross a process boundary (non-picklable
-configs).  Every degradation is accounted in an
-:class:`ExecutionReport` instead of happening silently.
+every shard, when ``workers=1`` or when the work is too small to
+shard; a shard whose payload cannot cross a process boundary
+(non-picklable configs) runs in-process after the pool.  Every
+degradation is accounted in an :class:`ExecutionReport` instead of
+happening silently.
 """
 
 from repro.parallel.executor import (

@@ -18,9 +18,12 @@ and watches three failure classes:
   shard that stalls past its deadline is abandoned to the pool and
   comes back *stalled*, so one livelocked worker cannot wedge the
   sweep.
-* **Pool unavailability** (pickling, subprocess limits, sandboxes):
-  the whole call degrades to the in-process loop, which completes
-  every shard.
+* **Pool unavailability** (subprocess limits, sandboxes): the whole
+  call degrades to the in-process loop, which completes every shard.
+  A shard the pool cannot pickle runs in-process after the pool.
+
+No worker outlives its use: a stalled shard's worker is killed once
+the rest are collected, and workers exit when their parent dies.
 
 What happens to crashed and stalled shards is not decided here: the
 :class:`PartialResult` hands them to the elastic scheduler
@@ -50,7 +53,7 @@ round, so a re-dispatched shard draws a fresh verdict.
 
 import multiprocessing
 import os
-import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -58,8 +61,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.telemetry import absorb_value, collect_shard
-from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
 
 #: Exit status an injected worker kill dies with (visible in the
@@ -224,14 +225,6 @@ def resolve_workers(workers):
     return count
 
 
-def _picklable(payload):
-    try:
-        pickle.dumps(payload)
-        return True
-    except Exception:
-        return False
-
-
 class _ShardFailure:
     """Sentinel carrying an exception the shard function raised.
 
@@ -250,23 +243,36 @@ class _ShardFailure:
         self.error = error
 
 
-def _guarded(fn, item, collect=False):
-    """Run one shard, returning exceptions as tagged sentinels.
-
-    With *collect* the shard runs under a fresh telemetry sub-session
-    and the return value is a :class:`~repro.telemetry.ShardTelemetry`
-    carrier (value + records + metrics) for the parent to absorb;
-    failures are never wrapped, so the sentinel contract is unchanged.
-    """
+def _guarded(fn, item):
+    """Run one shard, returning exceptions as tagged sentinels."""
     try:
-        if collect:
-            return collect_shard(fn, item)
         return fn(item)
     except Exception as error:  # noqa: BLE001 - re-raised by the parent
         return _ShardFailure(error)
 
 
-def _supervised(fn, item, shard, faults, collect=False):
+def _exit_with_parent():
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A parent killed without cleanup (``kill -9``, the OOM killer)
+    never shuts its pool down, so a daemon thread polls the parent pid
+    the worker started with (the pool's owner, or the fork server that
+    exits with it) and exits when it changes.  The parent sentinel
+    cannot tell: under ``fork`` each later worker inherits the earlier
+    ones' pipe ends, so it never reads EOF.
+    """
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
+
+
+def _supervised(fn, item, shard, faults):
     """Worker-side shard entry: inject executor faults, then run.
 
     Kill/stall verdicts are keyed by shard so they are identical for
@@ -278,7 +284,7 @@ def _supervised(fn, item, shard, faults, collect=False):
             os._exit(KILLED_EXIT_CODE)
         if faults.shard_stall_fault(shard):
             time.sleep(faults.plan.shard_stall_seconds)
-    return _guarded(fn, item, collect)
+    return _guarded(fn, item)
 
 
 def _collect(results, index, value, on_result):
@@ -288,19 +294,22 @@ def _collect(results, index, value, on_result):
         on_result(index, value)
 
 
-def _serial(fn, items, results, on_result=None, collect=False):
+def _serial(fn, items, results, on_result=None):
     """The in-process loop: completes every shard, in order."""
     for index, item in enumerate(items):
-        _collect(results, index, _guarded(fn, item, collect), on_result)
+        _collect(results, index, _guarded(fn, item), on_result)
 
 
 def _drain(futures, results, deadline, report, on_result,
            submitted=None):
     """Collect finished futures; classify timeouts and pool breakage.
 
-    Returns ``(stalled, crashed)`` index lists: *stalled* shards blew
-    their deadline, *crashed* shards died with the pool.  Both go back
-    to the caller unfinished.
+    Returns ``(stalled, crashed, unshipped)`` index lists: *stalled*
+    shards blew their deadline, *crashed* shards died with the pool,
+    and the pool could not ship *unshipped* shards (their payload or
+    result does not pickle).  Shard errors come back as
+    :class:`_ShardFailure` values, so any other exception a future
+    raises is the pool failing to ship it.
 
     *submitted* maps each index to its ``time.monotonic()`` submission
     timestamp.  Each shard's deadline is measured from *that* moment,
@@ -313,6 +322,7 @@ def _drain(futures, results, deadline, report, on_result,
     """
     stalled = []
     crashed = []
+    unshipped = []
     broken = False
     for index in sorted(futures):
         future = futures[index]
@@ -326,8 +336,7 @@ def _drain(futures, results, deadline, report, on_result,
             else:
                 elapsed = time.monotonic() - submitted[index]
                 timeout = max(0.0, deadline - elapsed)
-            _collect(results, index, future.result(timeout=timeout),
-                     on_result)
+            value = future.result(timeout=timeout)
         except FutureTimeoutError:
             if broken:
                 crashed.append(index)
@@ -343,19 +352,24 @@ def _drain(futures, results, deadline, report, on_result,
                 report.record("worker-crash",
                               f"pool broke waiting on shard {index}")
             crashed.append(index)
-    return stalled, crashed
+        except Exception:  # noqa: BLE001 - the pool could not ship it
+            unshipped.append(index)
+        else:
+            _collect(results, index, value, on_result)
+    return stalled, crashed, unshipped
 
 
 def parallel_map(fn, items, workers=1, deadline=None, faults=None,
-                 report=None, on_result=None, shard_tracks=None):
+                 report=None, on_result=None):
     """Run ``fn(item)`` once per item over a supervised pool.
 
     Returns a :class:`PartialResult` indexed like *items*: the values
     of the shards that finished, plus the indices that stalled past
     their deadline or died with the pool.  The pool runs one attempt;
     unfinished shards go back to the caller — the elastic scheduler —
-    to re-dispatch.  The serial paths (one worker, one item,
-    unpicklable payloads, no pool) complete every shard.
+    to re-dispatch.  The serial paths (one worker, one item, no pool)
+    complete every shard, and a shard the pool cannot ship runs
+    in-process.
 
     *fn* must be a module-level callable for process execution; the
     in-process paths have no such restriction.  Shard-function
@@ -370,59 +384,21 @@ def parallel_map(fn, items, workers=1, deadline=None, faults=None,
     *on_result(index, value)* fires the first time each shard's result
     is collected, in whatever order shards actually complete — the
     hook checkpoint journals use to persist progress incrementally, so
-    a kill mid-run only loses in-flight shards.  When a telemetry
-    session is active, the *value* passed to the hook is the shard's
-    :class:`~repro.telemetry.ShardTelemetry` carrier, so journaled
-    entries replay the shard's telemetry on resume.
-
-    *shard_tracks* names the default telemetry track per item (same
-    length as *items*; checkpointed maps pass their journal keys).
-    Ignored without an active session; without it, stable
-    ``shard/m<map>.<index>`` names are generated.  Shard code that
-    sets its own semantic track scopes overrides the default either
-    way.
+    a kill mid-run only loses in-flight shards.
     """
     items = list(items)
     workers = resolve_workers(workers)
     if report is None:
         report = ExecutionReport()
     report.shards += len(items)
-    collect = _telemetry_active()
-    tracks = None
-    if collect:
-        if shard_tracks is not None:
-            tracks = [str(track) for track in shard_tracks]
-            if len(tracks) != len(items):
-                raise ValueError(
-                    f"need one shard track per item, got {len(tracks)} "
-                    f"for {len(items)} items"
-                )
-        else:
-            map_seq = _telemetry_current().next_map_seq()
-            tracks = [
-                f"shard/m{map_seq}.{index}" for index in range(len(items))
-            ]
-
     results = {}
     stalled, crashed = [], []
     if workers <= 1 or len(items) <= 1:
-        _serial(fn, items, results, on_result, collect)
-    elif not _picklable((fn, items, faults)):
-        report.serial_fallbacks += 1
-        report.record("serial-fallback", "payload not picklable")
-        _serial(fn, items, results, on_result, collect)
+        _serial(fn, items, results, on_result)
     else:
         stalled, crashed = _pooled(fn, items, workers, deadline, faults,
-                                   report, results, on_result, collect)
-    # Absorb shard telemetry carriers in ascending index, so the
-    # per-track renumbering is deterministic, and unwrap the values;
-    # failures stay sentinels until the earliest one is re-raised.
-    values = {
-        index: (absorb_value(value, tracks[index])
-                if collect and not isinstance(value, _ShardFailure)
-                else value)
-        for index, value in sorted(results.items())
-    }
+                                   report, results, on_result)
+    values = dict(sorted(results.items()))
     for value in values.values():
         if isinstance(value, _ShardFailure):
             raise value.error
@@ -431,15 +407,17 @@ def parallel_map(fn, items, workers=1, deadline=None, faults=None,
 
 
 def _pooled(fn, items, workers, deadline, faults, report, results,
-            on_result, collect):
+            on_result):
     """One pool attempt over every item; returns ``(stalled, crashed)``.
 
     Falls back to the in-process loop (completing everything) when the
-    pool cannot start.
+    pool cannot start, and runs the shards it could not ship
+    in-process after it shuts down.
     """
     report.pool_attempts += 1
     try:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(items)))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                                   initializer=_exit_with_parent)
     except (OSError, PermissionError, RuntimeError) as error:
         # The pool never came up (no fork support, subprocess limits,
         # sandboxing) — nothing was partially executed, so the serial
@@ -449,7 +427,7 @@ def _pooled(fn, items, workers, deadline, faults, report, results,
             "serial-fallback",
             f"pool unavailable ({type(error).__name__}: {error})",
         )
-        _serial(fn, items, results, on_result, collect)
+        _serial(fn, items, results, on_result)
         return [], []
     futures = {}
     submitted = {}
@@ -457,7 +435,7 @@ def _pooled(fn, items, workers, deadline, faults, report, results,
     for index, item in enumerate(items):
         try:
             futures[index] = pool.submit(_supervised, fn, item, index,
-                                         faults, collect)
+                                         faults)
             submitted[index] = time.monotonic()
         except BrokenProcessPool:
             # A worker died while we were still submitting; the rest
@@ -466,10 +444,18 @@ def _pooled(fn, items, workers, deadline, faults, report, results,
             report.worker_crashes += 1
             report.record("worker-crash", "pool broke during submission")
             break
-    stalled, crashed = _drain(futures, results, deadline, report,
-                              on_result, submitted)
-    # Never block on a stalled worker: abandoned shards keep their
-    # process busy until the sleep/livelock ends, and the supervisor
-    # has already moved on.
+    stalled, crashed, unshipped = _drain(futures, results, deadline,
+                                         report, on_result, submitted)
+    # Every shard but the stalled ones is collected or lost by now;
+    # their workers are killed, or the interpreter's exit would wait.
+    abandoned = list(pool._processes.values()) if stalled else []
     pool.shutdown(wait=not stalled, cancel_futures=True)
+    for process in abandoned:
+        process.kill()
+    if unshipped:
+        report.serial_fallbacks += 1
+        report.record("serial-fallback",
+                      f"{len(unshipped)} shard(s) not picklable")
+        for index in unshipped:
+            _collect(results, index, _guarded(fn, items[index]), on_result)
     return stalled, crashed + unsubmitted

@@ -11,22 +11,25 @@ place that decides what happens to a shard the pool did not finish.
 Every sweep dispatches through it (:meth:`ElasticScheduler.for_sweep`
 opens the sweep's journal and report):
 
-1. Pack the pending items into shards.  Without weights each item is
+1. Validate the item keys and restore every journaled item, once,
+   before the first round packs — so a resume restores every finished
+   item under any packing or worker count, and every round packs only
+   pending items.
+2. Pack the pending items into shards.  Without weights each item is
    its own shard; with them, the round packs the pending items by
    weight into at most ``workers`` shards (deterministic LPT, see
    :func:`pack_by_weight`), whose items run in order.
-2. Write-ahead the assignment to the checkpoint journal's
-   reassignment log, then dispatch the round through
-   :func:`~repro.checkpoint.checkpointed_map`: journaled items
-   restore, the rest run once, and each shard's items are journaled,
-   keyed by item, the moment the shard completes — so a resume
-   restores every finished item under any packing or worker count.
-3. Take back whatever stalled past the deadline (a *steal*, accounted
+3. Write-ahead the assignment to the checkpoint journal's
+   reassignment log, then dispatch the round through one
+   :func:`~repro.checkpoint.checkpointed_map` call: the shards run
+   once, and each shard's items are journaled, keyed by item, the
+   moment the shard completes.
+4. Take back whatever stalled past the deadline (a *steal*, accounted
    in ``ExecutionReport.steals``) or died with a worker (a *reshard*,
    accounted in ``reshards``) — each decision journaled *before* it is
    acted on — and dispatch those items again next round, repacked
    with the rest of the pending items.
-4. Repeat until done; if two consecutive rounds make no progress,
+5. Repeat until done; if two consecutive rounds make no progress,
    log a ``fallback`` and run the remaining items in-process
    (journaled, never injected, accounted in ``in_process_shards``),
    which always terminates.
@@ -48,6 +51,8 @@ from repro.base.rng import stream
 from repro.checkpoint.journal import ShardJournal, checkpointed_map, run_key
 from repro.faults import FaultInjector
 from repro.parallel import ExecutionReport, resolve_workers
+from repro.telemetry import absorb_value
+from repro.telemetry import current as _telemetry_current
 
 #: Seeded jitter band on the per-round steal deadline: each round's
 #: deadline is the base deadline times 1 + U[0, DEADLINE_JITTER).
@@ -96,11 +101,12 @@ class ElasticScheduler:
         re-scoped per dispatch round — a shard killed in round *r*
         draws a fresh verdict in round *r + 1*, so injected storms
         exercise stealing and resharding without livelocking the loop.
-    journal: optional :class:`~repro.checkpoint.ShardJournal`; every
-        dispatch round goes through
+    journal: optional :class:`~repro.checkpoint.ShardJournal`; each
+        :meth:`map` restores its journaled items before the first
+        round, every dispatch round goes through
         :func:`~repro.checkpoint.checkpointed_map`, so a completed
         shard's items are journaled the moment it finishes (an
-        interrupted run resumes from its finished items) and every
+        interrupted run resumes from its finished items), and every
         assignment/steal/reshard is write-ahead logged.
     report: :class:`~repro.parallel.ExecutionReport` accounting the
         run (``steals``/``reshards`` on top of the supervisor's own
@@ -183,12 +189,14 @@ class ElasticScheduler:
         """Ordered ``[fn(item) for item in items]``, elastically.
 
         *keys* name the items (unique, stable across runs — they key
-        journal entries and the reassignment log).  Without *weights*
-        each item is its own shard.  With *weights* (one per item),
-        each dispatch round packs the pending items by weight into at
-        most ``workers`` shards, and a shard runs its items in order.
-        Steal and reshard counts are item counts.  Item exceptions
-        propagate exactly as :func:`parallel_map`'s do.
+        journal entries and the reassignment log).  Journaled items
+        restore once, before the first round packs, so every round
+        runs only pending items.  Without *weights* each item is its
+        own shard.  With *weights* (one per item), each dispatch round
+        packs the pending items by weight into at most ``workers``
+        shards, and a shard runs its items in order.  Steal and
+        reshard counts are item counts.  Item exceptions propagate
+        exactly as :func:`parallel_map`'s do.
         """
         items = list(items)
         keys = [str(key) for key in keys]
@@ -205,7 +213,23 @@ class ElasticScheduler:
                 f"for {len(items)} items"
             )
         done = {}
-        pending = list(range(len(items)))
+        if self.journal is not None:
+            for index, key in enumerate(keys):
+                hit, value = self.journal.load(key)
+                if hit:
+                    # Restored carriers are absorbed before any item
+                    # runs, as a fresh run records them.
+                    _telemetry_current().advisory_event(
+                        "checkpoint.restore", shard=key)
+                    done[index] = absorb_value(value, key)
+        if done:
+            self.report.checkpoint_hits += len(done)
+            self.report.record(
+                "checkpoint",
+                f"restored {len(done)}/{len(items)} shard(s) from "
+                f"{self.journal.directory}",
+            )
+        pending = [i for i in range(len(items)) if i not in done]
         idle_rounds = 0
         while pending:
             round_number = self.dispatch_rounds
@@ -227,15 +251,11 @@ class ElasticScheduler:
                     f"round(s); forcing completion",
                 )
                 self._log("fallback", items=round_keys)
-                # Items restored from the journal do not run at all.
-                hits_before = self.report.checkpoint_hits
                 partial = checkpointed_map(
                     fn, round_items, round_keys, self.journal,
                     shards=shards, workers=1, report=self.report,
                 )
-                self.report.in_process_shards += len(round_items) - (
-                    self.report.checkpoint_hits - hits_before
-                )
+                self.report.in_process_shards += len(round_items)
             else:
                 # Write-ahead the assignment before acting on it.
                 self._log("assign", round=round_number,

@@ -75,14 +75,14 @@ class SpanRecord:
 
 @dataclass
 class ShardTelemetry:
-    """Everything a shard observed, shipped back beside its value.
+    """Everything one work item observed, shipped back beside its value.
 
-    Workers (and the serial/in-process execution paths, so every path
-    produces identical carriers) run the shard function under a fresh
-    :class:`Session` and return this picklable carrier; the parent
-    absorbs it in submission order and unwraps ``value``.  Checkpoint
-    journals store the whole carrier, so a resumed run replays the
-    shard's telemetry exactly.
+    A checkpointed map runs each item under a fresh :class:`Session`
+    (in a worker or in-process alike, so every path produces identical
+    carriers) and returns this picklable carrier; the parent absorbs
+    it on the item's key and unwraps ``value``.  Checkpoint journals
+    store the whole carrier, so a resumed run replays the item's
+    telemetry exactly.
     """
 
     #: The shard function's actual return value.
@@ -232,7 +232,6 @@ class Session:
         self._track_seq = {}
         self._depth = 0
         self._ticks = 0.0
-        self._map_seq = 0
 
     # ------------------------------------------------------------ clocks
 
@@ -302,11 +301,6 @@ class Session:
         self.advisory.append((name, attrs))
 
     # ------------------------------------------------------------ shards
-
-    def next_map_seq(self):
-        """Monotonic id for auto-generated shard track names."""
-        self._map_seq += 1
-        return self._map_seq
 
     def absorb(self, shard, default_track=None):
         """Fold one :class:`ShardTelemetry` carrier into this session.
@@ -378,11 +372,11 @@ def session(base_track="main"):
 def collect_shard(fn, *args):
     """Run ``fn(*args)`` under a fresh shard session; return a carrier.
 
-    This is the worker-side half of shard telemetry: the executor
-    calls it (in workers *and* on the serial/in-process paths, so
-    every path produces identical carriers) whenever the parent had a
-    session active, and ships the resulting :class:`ShardTelemetry`
-    back for :meth:`Session.absorb`.
+    This is the worker-side half of shard telemetry:
+    :func:`~repro.checkpoint.checkpointed_map` runs each item through
+    it (in workers *and* in-process, so every path produces identical
+    carriers) whenever the parent had a session active, and ships the
+    resulting :class:`ShardTelemetry` back for :meth:`Session.absorb`.
     """
     shard_session = Session(base_track=SHARD_BASE_TRACK)
     previous = activate(shard_session)

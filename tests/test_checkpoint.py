@@ -16,6 +16,7 @@ from repro.checkpoint import JOURNAL_SCHEMA, ShardJournal, checkpointed_map, run
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_chaos import chaos_sweep
 from repro.parallel import ExecutionReport
+from repro.sched import ElasticScheduler
 from repro.telemetry import current, export_jsonl, session
 
 
@@ -145,13 +146,6 @@ def test_journal_schema_mismatch_resets(tmp_path):
 # ---------------------------------------------------- checkpointed_map
 
 
-def test_checkpointed_map_validates_keys():
-    with pytest.raises(ValueError, match="one key per item"):
-        checkpointed_map(_triple, [1, 2], ["a"], None)
-    with pytest.raises(ValueError, match="unique"):
-        checkpointed_map(_triple, [1, 2], ["a", "a"], None)
-
-
 def test_checkpointed_map_without_journal_is_plain_map():
     assert checkpointed_map(_triple, [1, 2, 3], ["a", "b", "c"],
                             None, workers=2).values == {0: 3, 1: 6, 2: 9}
@@ -172,9 +166,9 @@ def test_interrupted_map_resumes_byte_identically(tmp_path, workers):
     assert journal.completed(keys) == keys[:5]  # partial progress landed
     report = ExecutionReport()
     resumed = ShardJournal(tmp_path, key).open(resume=True)
-    result = checkpointed_map(_triple, items, keys, resumed,
-                              workers=workers, report=report)
-    assert result.values == {x: _triple(x) for x in items}
+    result = ElasticScheduler(workers=workers, journal=resumed,
+                              report=report).map(_triple, items, keys)
+    assert result == [_triple(x) for x in items]
     assert report.checkpoint_hits == 5
 
 
@@ -213,7 +207,9 @@ def test_checkpoint_restore_advisory_event_emitted(tmp_path):
         checkpointed_map(_traced_triple, items, keys, journal, workers=1)
     with session() as resumed:
         journal = ShardJournal(tmp_path, run_key("t", 2)).open(resume=True)
-        checkpointed_map(_traced_triple, items, keys, journal, workers=1)
+        ElasticScheduler(workers=1, journal=journal,
+                         report=ExecutionReport()).map(
+            _traced_triple, items, keys)
     names = [name for name, _ in resumed.advisory]
     assert names.count("checkpoint.restore") == 2
 

@@ -10,10 +10,16 @@ processes changes nothing about its output.
 import math
 import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.apps.corpus import build_corpus
 from repro.detectors.base import MonitoringCost
 from repro.detectors.runner import DetectorRun
@@ -145,6 +151,25 @@ def test_serial_fallback_is_reported_not_silent():
     assert any("serial" in event for event in report.events)
 
 
+class _Unpicklable(int):
+    """An int that refuses to cross a process boundary."""
+
+    def __reduce__(self):
+        raise TypeError("deliberately unpicklable")
+
+
+def test_unpicklable_item_runs_in_process_beside_pooled_ones():
+    """The pool ships every shard it can; the one it cannot runs
+    in-process after the pool shuts down, in one serial fallback."""
+    report = ExecutionReport()
+    partial = parallel_map(_square, [2, _Unpicklable(3), 4], workers=2,
+                           report=report)
+    assert partial.values == {0: 4, 1: 9, 2: 16}
+    assert partial.unfinished == ()
+    assert report.pool_attempts == 1
+    assert report.serial_fallbacks == 1
+
+
 def test_on_result_hook_fires_per_shard_with_original_index():
     seen = {}
     parallel_map(_square, [3, 4, 5], workers=2,
@@ -201,10 +226,117 @@ def test_telemetry_unperturbed_by_worker_crashes():
                for name, _ in crashed.advisory)
 
 
-def test_parallel_map_validates_shard_tracks_length():
-    with session():
-        with pytest.raises(ValueError, match="one shard track per item"):
-            parallel_map(_square, [1, 2], workers=1, shard_tracks=["only"])
+def _gone(pid):
+    """True once *pid* has exited; a zombie awaiting its reaper counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _wait_until_gone(pids, timeout):
+    """The pids still running after up to *timeout* seconds."""
+    end = time.monotonic() + timeout
+    while True:
+        alive = [pid for pid in pids if not _gone(pid)]
+        if not alive or time.monotonic() > end:
+            return alive
+        time.sleep(0.1)
+
+
+def _recorded_pids(directory, count, timeout=10.0):
+    end = time.monotonic() + timeout
+    while True:
+        pids = [int(path.name) for path in directory.iterdir()]
+        if len(pids) >= count or time.monotonic() > end:
+            return pids
+        time.sleep(0.05)
+
+
+def _kill_leftovers(pids):
+    for pid in pids:
+        if not _gone(pid):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def _record_pid_then_stall(directory):
+    """Record the worker's pid, then stall — in a worker only."""
+    if multiprocessing.parent_process() is not None:
+        (pathlib.Path(directory) / str(os.getpid())).touch()
+        time.sleep(60.0)
+    return directory
+
+
+_KILLED_PARENT_SCRIPT = textwrap.dedent("""
+    import os
+    import pathlib
+    import sys
+    import time
+
+    from repro.parallel import parallel_map
+
+
+    def record_pid_then_stall(directory):
+        (pathlib.Path(directory) / str(os.getpid())).touch()
+        time.sleep(60.0)
+
+
+    if __name__ == "__main__":
+        parallel_map(record_pid_then_stall, [sys.argv[1]] * 2, workers=2)
+""")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path):
+    """A SIGKILLed parent shuts nothing down; its workers notice that
+    their parent is gone and exit instead of blocking for good."""
+    script = tmp_path / "sweep.py"
+    script.write_text(_KILLED_PARENT_SCRIPT)
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, str(script), str(pid_dir)],
+                              env=env)
+    pids = []
+    try:
+        pids = _recorded_pids(pid_dir, 2)
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait(timeout=5)
+        assert _wait_until_gone(pids, 5.0) == []
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=5)
+        _kill_leftovers(pids)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+def test_stalled_shards_workers_are_killed(tmp_path):
+    """An abandoned stalled shard would keep its worker running, and
+    the interpreter's exit would wait for it: its worker is killed."""
+    pids = []
+    try:
+        partial = parallel_map(_record_pid_then_stall, [str(tmp_path)] * 2,
+                               workers=2, deadline=0.5)
+        assert partial.stalled == (0, 1)
+        pids = [int(path.name) for path in tmp_path.iterdir()]
+        assert len(pids) == 2
+        assert _wait_until_gone(pids, 5.0) == []
+    finally:
+        _kill_leftovers(pids)
 
 
 # ------------------------------------------------------- per-app seeding

@@ -217,6 +217,30 @@ def test_scheduler_resumes_from_journal(tmp_path):
     assert report.checkpoint_hits >= len(items)
 
 
+def test_scheduler_resume_packs_only_pending_items(tmp_path):
+    """Journaled items restore before the first round packs, so a
+    resume's one round packs the pending items alone into one shard
+    per worker.  Here the journal holds the first shard of a killed
+    2-worker run: items 0, 2, 4 and 6."""
+    items = list(range(8))
+    keys = [f"k{i}" for i in items]
+    ShardJournal(tmp_path, run_key("sched-pending")).open().record(
+        {keys[i]: _cube(i) for i in (0, 2, 4, 6)})
+    journal = ShardJournal(tmp_path, run_key("sched-pending")).open(
+        resume=True)
+    report = ExecutionReport()
+    sched = ElasticScheduler(workers=2, journal=journal, report=report)
+    assert sched.map(_cube, items, keys, weights=[1.0] * 8) \
+        == [_cube(x) for x in items]
+    (assign,) = [record for record in journal.reassignments()
+                 if record["kind"] == "assign"]
+    assert len(assign["shards"]) == 2
+    assert sorted(key for shard in assign["shards"] for key in shard) \
+        == ["k1", "k3", "k5", "k7"]
+    assert report.shards == 2
+    assert report.checkpoint_hits == 4
+
+
 def test_scheduler_worker_crash_recovery_without_injection():
     """A real (non-injected) worker death reshards instead of
     serializing: output is unchanged and the report says what

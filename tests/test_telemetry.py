@@ -18,6 +18,7 @@ from repro.checkpoint import ShardJournal, checkpointed_map, run_key
 from repro.detectors.runner import run_detector
 from repro.harness.exp_chaos import chaos_sweep
 from repro.parallel import ExecutionReport, parallel_map
+from repro.sched import ElasticScheduler
 from repro.sim.engine import ExecutionEngine
 from repro.telemetry import (
     EXPORT_FILENAMES,
@@ -255,10 +256,10 @@ def test_absorb_order_does_not_change_export():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_map_telemetry_identical_across_workers(workers):
+def test_checkpointed_map_telemetry_identical_across_workers(workers):
     with session() as tel:
-        assert parallel_map(_traced_square, [1, 2, 3],
-                            workers=workers).values == {0: 1, 1: 4, 2: 9}
+        assert checkpointed_map(_traced_square, [1, 2, 3], ["a", "b", "c"],
+                                workers=workers).values == {0: 1, 1: 4, 2: 9}
         exports = _exports(tel)
     with session() as serial:
         for x in (1, 2, 3):
@@ -306,9 +307,10 @@ def test_interrupted_map_resumes_with_identical_exports(tmp_path):
     with session() as resumed_session:
         journal = ShardJournal(tmp_path, run_key("m", 1)).open(resume=True)
         report = ExecutionReport()
-        result = checkpointed_map(_traced_square, items, keys, journal,
-                                  workers=2, report=report)
-        assert result.values == {x: x * x for x in items}
+        result = ElasticScheduler(workers=2, journal=journal,
+                                  report=report).map(
+            _traced_square, items, keys)
+        assert result == [x * x for x in items]
         assert report.checkpoint_hits == 2  # shards 0/1 came from disk
         assert _exports(resumed_session) == expected
 

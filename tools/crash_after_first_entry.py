@@ -2,10 +2,11 @@
 """Run the ``repro`` CLI and SIGKILL it right after its first journal entry.
 
 A crash at a known point, for kill-and-resume checks: as soon as the
-first ``ShardJournal.record`` call lands, the process SIGKILLs its
-pool workers and then itself (no cleanup, exactly a crashed box), so
-a ``--checkpoint`` run always dies with a partial journal and prints
-nothing.  Exits with status 137 (128 + SIGKILL) when the kill fired.
+first ``ShardJournal.record`` call lands, the process SIGKILLs itself
+(no cleanup, exactly a crashed box), so a ``--checkpoint`` run always
+dies with a partial journal and prints nothing.  Its pool workers are
+left to notice on their own that their parent is gone.  Exits with
+status 137 (128 + SIGKILL) when the kill fired.
 
 Usage::
 
@@ -13,7 +14,6 @@ Usage::
         chaos --quick --checkpoint DIR --workers 2
 """
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -27,9 +27,6 @@ _record = ShardJournal.record
 def _record_then_die(self, entries):
     landed = _record(self, entries)
     if landed:
-        # Orphaned pool workers would block on their queue forever.
-        for child in multiprocessing.active_children():
-            os.kill(child.pid, signal.SIGKILL)
         os.kill(os.getpid(), signal.SIGKILL)
     return landed
 
