@@ -13,7 +13,7 @@ count.
 
 Safety properties:
 
-* **Crash-atomic entries**: every write goes through
+* **Crash-atomic entries**: every entry write goes through
   :func:`repro.core.persistence.atomic_write_bytes` (temp file +
   fsync + rename), so a kill mid-checkpoint leaves at worst a
   truncated temp file, never a torn journal entry.  The ``torn_write``
@@ -32,11 +32,14 @@ Safety properties:
 
 import hashlib
 import json
-import os
 import pathlib
 import pickle
 
-from repro.core.persistence import atomic_write_bytes, atomic_write_text
+from repro.core.persistence import (
+    AppendLog,
+    atomic_write_bytes,
+    atomic_write_text,
+)
 from repro.faults.injector import InjectedFault
 from repro.parallel import PartialResult, parallel_map
 from repro.telemetry import absorb_value, collect_shard
@@ -67,7 +70,10 @@ class ShardJournal:
     Each finished shard lands as one entry holding its items'
     ``(key, value)`` pairs; :meth:`open` with ``resume=True`` reads
     every entry once into an index by item key, which :meth:`load`
-    and :meth:`completed` serve from.
+    and :meth:`completed` serve from.  Beside the entries sits the
+    scheduler's reassignment log (:meth:`log_reassignment`), an
+    :class:`~repro.core.persistence.AppendLog` of checksummed lines
+    whose torn tail is cut before the next append.
 
     Parameters
     ----------
@@ -104,7 +110,7 @@ class ShardJournal:
 
     @property
     def reassignments_path(self):
-        """Append-only JSONL log of scheduler reassignment decisions."""
+        """Append-only log of scheduler reassignment decisions."""
         return self.directory / "reassignments.jsonl"
 
     def _entry_path(self, *keys):
@@ -192,29 +198,23 @@ class ShardJournal:
         assignment, steal, and reshard *before* acting on it, so a
         crash mid-redistribution leaves an auditable trail: on resume
         the log shows which items were in flight where when the run
-        died.  The record is one JSON line ``{"kind": ..., ...}``
-        appended with an fsync.  A torn tail (killed mid-append) was
-        never reported as landed: it is cut back to the last newline
-        before the append, so the new record gets its own line.
-        Returns True when the record landed.
+        died.  The record ``{"kind": ..., ...}`` is appended to an
+        :class:`~repro.core.persistence.AppendLog` and fsynced; opening
+        the log cuts a torn tail (killed mid-append, never reported as
+        landed) first, so the new record gets its own line.  Returns
+        True when the record landed.
         """
         payload = dict(record)
         payload["kind"] = str(kind)
-        line = json.dumps(payload, sort_keys=True) + "\n"
+        log = AppendLog(self.reassignments_path)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.reassignments_path, "a+b") as handle:
-                size = handle.seek(0, os.SEEK_END)
-                if size:
-                    handle.seek(size - 1)
-                    if handle.read(1) != b"\n":
-                        handle.seek(0)
-                        handle.truncate(handle.read().rfind(b"\n") + 1)
-                handle.write(line.encode("utf-8"))
-                handle.flush()
-                os.fsync(handle.fileno())
+            log.open()
+            log.append(payload)
+            log.sync()
         except OSError:
             return False
+        finally:
+            log.close()
         _telemetry_current().advisory_event("checkpoint.reassignment",
                                             **payload)
         return True
@@ -222,22 +222,13 @@ class ShardJournal:
     def reassignments(self):
         """All durably logged reassignment records, in append order.
 
-        A torn final line (the process died mid-append) is skipped,
+        A damaged tail (the process died mid-append) is left out,
         mirroring the journal-wide corruption-means-rerun contract.
         """
         try:
-            text = self.reassignments_path.read_text(encoding="utf-8")
+            return AppendLog(self.reassignments_path).replay()[0]
         except OSError:
             return []
-        records = []
-        for line in text.splitlines():
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(payload, dict):
-                records.append(payload)
-        return records
 
     # ----------------------------------------------------------- entries
 

@@ -21,9 +21,11 @@ since that snapshot.  Both writes run through the ``torn_write_rate``
 seam, and recovery composes their two guarantees — a torn snapshot
 write leaves the previous complete snapshot untouched
 (:func:`~repro.core.persistence.atomic_write_text` renames only after
-fsync), and a torn WAL append is detected by its record checksum and
-cut at the last intact record — so a restart always lands on the last
-consistent state, never a half-applied batch.  Batches are applied
+fsync), and a torn WAL append is detected by its record checksum,
+left out of replay, and cut by the
+:class:`~repro.core.persistence.AppendLog` before the next append —
+so a restart always lands on the last consistent state, never a
+half-applied batch, and later acks never land behind the fragment.  Batches are applied
 whole (:func:`batch_from_dict` validates before
 :meth:`~repro.crowd.aggregator.CrowdAggregator.ingest` runs), which is
 what "never half-applied" means at this layer.

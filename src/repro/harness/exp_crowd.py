@@ -37,11 +37,9 @@ spares every other device the collection.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.blocking_db import BlockingApiDatabase
-from repro.crowd import CrowdKnowledge
 from repro.harness.exp_stream import (
     CROWD_APPS,
-    _crowd_device_round,
+    isolated_device_rounds,
     run_rounds,
 )
 from repro.harness.tables import render_table
@@ -188,26 +186,14 @@ def crowd_sweep(device, seed=0, fleet_sizes=DEFAULT_FLEET_SIZES, rounds=3,
         checkpoint=checkpoint, resume=resume, report=report,
     )
     # Isolated-device baseline: the same (device, round) runs with no
-    # crowd sync — knowledge empty, database as shipped.  Pure per
-    # payload, so it shards freely.
-    pairs = [
-        (device_index, round_index)
-        for device_index in range(max(fleet_sizes))
-        for round_index in range(rounds)
-    ]
-    base_results = scheduler.map(
-        _crowd_device_round,
-        [
-            (device, seed, apps, device_index, round_index,
-             actions_per_round, CrowdKnowledge(),
-             tuple(BlockingApiDatabase.initial()),
-             f"crowd/base/d{device_index}/r{round_index}")
-            for device_index, round_index in pairs
-        ],
-        [f"base|d{device_index}|r{round_index}"
-         for device_index, round_index in pairs],
-    )
-    baseline = dict(zip(pairs, base_results))
+    # crowd sync.  Pure per payload, so it shards freely.
+    baseline = {
+        (result.device_index, result.round_index): result
+        for result in isolated_device_rounds(
+            scheduler, device, seed, apps, max(fleet_sizes), rounds,
+            actions_per_round,
+        )
+    }
     cells = []
     for fleet_size in fleet_sizes:
         stream = run_rounds(

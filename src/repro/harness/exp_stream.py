@@ -52,7 +52,7 @@ from repro.apps.catalog import get_app
 from repro.apps.sessions import SessionGenerator
 from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.crowd import CrowdAggregator, ReportBatch
+from repro.crowd import CrowdAggregator, CrowdKnowledge, ReportBatch
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.exp_fleet import deploy
 from repro.harness.tables import render_table
@@ -156,6 +156,28 @@ def _crowd_device_round(payload):
         kb_short_circuits=shorts,
         detected_sites=tuple(sites),
         batches=tuple(batches),
+    )
+
+
+def isolated_device_rounds(scheduler, device, seed, apps, devices, rounds,
+                           actions):
+    """Every ``(device, round)`` of *devices* x *rounds* with no crowd
+    sync — knowledge empty, blocking database as shipped — through
+    *scheduler*; returns their :class:`CrowdDeviceRound` results,
+    device-major.
+
+    The only place these rounds are made: the crowd sweep's
+    isolated-device baseline and ``serve-bench --mode real`` both run
+    them, on tracks ``crowd/base/d{d}/r{r}`` under keys
+    ``base|d{d}|r{r}``, so the two stay byte-for-byte equal.
+    """
+    db_names = tuple(BlockingApiDatabase.initial())
+    pairs = [(d, r) for d in range(devices) for r in range(rounds)]
+    return scheduler.map(
+        _crowd_device_round,
+        [(device, seed, tuple(apps), d, r, actions, CrowdKnowledge(),
+          db_names, f"crowd/base/d{d}/r{r}") for d, r in pairs],
+        [f"base|d{d}|r{r}" for d, r in pairs],
     )
 
 

@@ -13,11 +13,10 @@ of the fleet parameters, never of timing:
   keyed streams, cheap enough to stress the admission and WAL path at
   fleet scale;
 * **real**: every device round runs the full Hang Doctor session
-  pipeline
-  through :func:`repro.harness.exp_stream._crowd_device_round` with
-  empty crowd knowledge — exactly the isolated-device rounds the
-  batch ``crowd_sweep`` runs, preserving the deterministic per-device
-  telemetry tracks.
+  pipeline through
+  :func:`repro.harness.exp_stream.isolated_device_rounds` — exactly
+  the isolated-device rounds the batch ``crowd_sweep`` runs,
+  preserving the deterministic per-device telemetry tracks.
 
 :func:`baseline_snapshot_json` is the referee: the same batch set
 folded through the synchronous batch path (a serial
@@ -117,35 +116,19 @@ def real_fleet_batches(device_profile, seed, devices, rounds, apps,
                        actions, workers=1):
     """The real fleet's upload set: full Hang Doctor device rounds.
 
-    Runs :func:`repro.harness.exp_stream._crowd_device_round` with
-    empty crowd knowledge — byte-for-byte the isolated-device rounds
-    ``crowd_sweep`` uses as its baseline — so the live service's
-    ingest of these batches is directly comparable to the batch
-    sweep's aggregator over the same fleet.
+    Runs :func:`repro.harness.exp_stream.isolated_device_rounds` — the
+    function ``crowd_sweep``'s isolated-device baseline runs — so
+    the live service's ingest of these batches is directly comparable
+    to the batch sweep's aggregator over the same fleet.
     """
-    from repro.core.blocking_db import BlockingApiDatabase
-    from repro.crowd import CrowdKnowledge
-    from repro.harness.exp_stream import _crowd_device_round
+    from repro.harness.exp_stream import isolated_device_rounds
     from repro.sched import ElasticScheduler
 
-    db_names = tuple(BlockingApiDatabase.initial())
-    payloads = [
-        (device_profile, seed, tuple(apps), device_index, round_index,
-         actions, CrowdKnowledge(), db_names,
-         f"crowd/base/d{device_index}/r{round_index}")
-        for device_index in range(devices)
-        for round_index in range(rounds)
-    ]
-    keys = [
-        f"base|d{device_index}|r{round_index}"
-        for device_index in range(devices)
-        for round_index in range(rounds)
-    ]
-    results = ElasticScheduler.for_sweep(workers=workers).map(
-        _crowd_device_round, payloads, keys,
-    )
     fleet = {device_index: [] for device_index in range(devices)}
-    for result in results:
+    for result in isolated_device_rounds(
+        ElasticScheduler.for_sweep(workers=workers), device_profile, seed,
+        apps, devices, rounds, actions,
+    ):
         fleet[result.device_index].extend(result.batches)
     return sorted(fleet.items())
 

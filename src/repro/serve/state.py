@@ -12,13 +12,15 @@ directory:
 :meth:`ServiceState.recover` composes their guarantees: load the
 snapshot (:func:`~repro.crowd.store.load_aggregator` never raises; a
 corrupt file — impossible under the atomic writer, but disks lie —
-falls back to empty with ``recovered_from_corruption`` set), then
-replay the journal cut at its last intact record.  Because ingestion
-dedupes by batch id, replay is idempotent: a batch that made it into
-the snapshot *and* still sits in the journal (crash between snapshot
-and journal reset) counts once.  The result is always the last
-consistent state — every acknowledged batch present exactly once,
-nothing half-applied.
+falls back to empty with ``recovered_from_corruption`` set), then,
+in one read, replay the journal up to its last intact record and open
+it for appending with a torn tail cut off — so a batch acked after
+the restart lands on its own line and the next restart replays it
+too.  Because ingestion dedupes by batch id, replay is idempotent: a
+batch that made it into the snapshot *and* still sits in the journal
+(crash between snapshot and journal reset) counts once.  The result
+is always the last consistent state — every acknowledged batch
+present exactly once, nothing half-applied.
 """
 
 import pathlib
@@ -52,17 +54,17 @@ class ServiceState:
 
     def recover(self):
         """Rebuild the aggregator from snapshot + journal; open the
-        journal for appending.  Never raises on damaged state."""
+        journal for appending, cutting any torn tail.  Never raises on
+        damaged state."""
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.snapshot_path.exists():
             self.aggregator = load_aggregator(
                 self.snapshot_path.read_text()
             )
-        batches, self.torn_tail_cut = self.wal.replay()
+        batches, self.torn_tail_cut = self.wal.recover()
         for batch in batches:
             self.aggregator.ingest(batch)
         self.replayed = len(batches)
-        self.wal.open()
         return self
 
     def close(self):

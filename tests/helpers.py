@@ -12,3 +12,12 @@ def run_until(engine, app, action_name, predicate, attempts=60):
         f"no execution of {app.name}/{action_name} satisfied the predicate "
         f"in {attempts} attempts"
     )
+
+
+def torn_forms(record):
+    """Every way a crash mid-append can leave one framed log *record*
+    behind: each proper prefix, bare and followed by a newline."""
+    for cut in range(1, len(record)):
+        yield record[:cut]
+        if cut < len(record) - 1:
+            yield record[:cut] + b"\n"

@@ -18,6 +18,7 @@ from repro.harness.exp_chaos import chaos_sweep
 from repro.parallel import ExecutionReport
 from repro.sched import ElasticScheduler
 from repro.telemetry import current, export_jsonl, session
+from tests.helpers import torn_forms
 
 
 def _triple(x):
@@ -128,6 +129,27 @@ def test_reassignment_after_torn_tail_lands_on_its_own_line(tmp_path):
     assert [record["kind"] for record in journal.reassignments()] == \
         ["assign", "steal"]
     assert journal.reassignments_path.read_text().endswith("\n")
+
+
+def test_reassignment_log_cuts_a_torn_tail_at_every_offset(tmp_path):
+    """For every byte offset inside the last record, with and without
+    a newline after the fragment, the next record is appended after
+    the fragment is cut: the log then holds exactly the two landed
+    records, each on its own line."""
+    journal = ShardJournal(tmp_path, run_key("exp", 0)).open()
+    path = journal.reassignments_path
+    assert journal.log_reassignment("assign", shard=0)
+    prefix = path.read_bytes()
+    assert journal.log_reassignment("steal", shard=1, items=["k1"])
+    record = path.read_bytes()[len(prefix):]
+    for torn in torn_forms(record):
+        path.write_bytes(prefix + torn)
+        assert journal.log_reassignment("reshard", items=["k1"])
+        assert journal.reassignments() == [
+            {"kind": "assign", "shard": 0},
+            {"kind": "reshard", "items": ["k1"]},
+        ], torn
+        assert path.read_bytes().count(b"\n") == 2, torn
 
 
 def test_journal_schema_mismatch_resets(tmp_path):

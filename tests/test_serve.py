@@ -9,6 +9,8 @@ mid-run kill + restart.
 """
 
 import asyncio
+import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -33,6 +35,7 @@ from repro.serve.loadgen import (
     synthetic_fleet_batches,
 )
 from repro.serve.service import _Request
+from tests.helpers import torn_forms
 
 
 def fleet(devices=6, rounds=2, seed=11):
@@ -110,6 +113,63 @@ def test_wal_reset_empties_after_snapshot(tmp_path):
     journal.reset()
     journal.close()
     assert BatchJournal(tmp_path / "wal.jsonl").replay() == ([], False)
+
+
+def test_wal_replays_a_hand_framed_record(tmp_path):
+    """The on-disk format is pinned: one ``<sha256[:12]> <canonical
+    JSON>`` line per batch, and the journal writes exactly that."""
+    batch = flat(fleet(1, 1))[0]
+    payload = json.dumps(batch_to_dict(batch), sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+    line = (hashlib.sha256(payload).hexdigest()[:12].encode() + b" "
+            + payload + b"\n")
+    path = tmp_path / "wal.jsonl"
+    path.write_bytes(line)
+    replayed, torn = BatchJournal(path).replay()
+    assert not torn
+    assert [batch_to_dict(b) for b in replayed] == [batch_to_dict(batch)]
+    written = BatchJournal(tmp_path / "written.jsonl").open()
+    written.append(batch)
+    written.sync()
+    written.close()
+    assert (tmp_path / "written.jsonl").read_bytes() == line
+
+
+def test_state_acks_after_a_torn_tail_survive_the_next_restart(tmp_path):
+    """Recovery cuts a torn tail before the next ack is appended.
+
+    For every byte offset inside the last record, with and without a
+    newline after the fragment: recover, log one more batch, recover
+    again.  Every synced batch must replay, and the second recovery
+    must find no torn tail — the ack did not land on the fragment's
+    line, where replay would stop before it.
+    """
+    synced, torn_batch, late = flat(fleet(2, 1))[:3]
+    # One observation keeps the record, and so the enumeration, short.
+    torn_batch = dataclasses.replace(
+        torn_batch, observations=torn_batch.observations[:1])
+    framed = BatchJournal(tmp_path / "framed.jsonl").open()
+    framed.append(synced)
+    framed.sync()
+    prefix = framed.path.read_bytes()
+    framed.append(torn_batch)
+    framed.sync()
+    framed.close()
+    record = framed.path.read_bytes()[len(prefix):]
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    for torn in torn_forms(record):
+        (state_dir / "wal.jsonl").write_bytes(prefix + torn)
+        state = ServiceState(state_dir).recover()
+        assert state.torn_tail_cut, torn
+        assert state.replayed == 1
+        state.log([late])
+        state.close()
+        again = ServiceState(state_dir).recover()
+        again.close()
+        assert not again.torn_tail_cut, torn
+        assert again.aggregator.batch_ids() == \
+            sorted([synced.batch_id, late.batch_id]), torn
 
 
 # ------------------------------------------------------- service state
@@ -341,6 +401,38 @@ def test_service_kill_restart_replays_acked_batches(tmp_path):
     service = run(after_restart())
     assert service.stats["replayed"] == half
     assert service.state.snapshot_bytes() == expected.encode("utf-8")
+
+
+def test_service_acks_after_a_torn_tail_survive_the_next_kill(tmp_path):
+    """Kill, tear the WAL tail, restart and ack more, kill again: the
+    third start holds every acked batch."""
+    batches = flat(fleet(4, 2, seed=41))
+    half = len(batches) // 2
+
+    async def serve_then_kill(work, seed):
+        service = await _started(tmp_path, snapshot_every=10_000)
+        client = ServeClient("127.0.0.1", service.port, seed=seed)
+        for batch in work:
+            assert await client.upload(batch) == "ingested"
+        await service.abort()  # SIGKILL stand-in: no drain, no publish
+        await client.close()
+
+    async def restart():
+        service = await _started(tmp_path, snapshot_every=10_000)
+        await service.abort()
+        return service
+
+    run(serve_then_kill(batches[:half], seed=4))
+    wal = tmp_path / "state" / "wal.jsonl"
+    last = wal.read_bytes().splitlines(keepends=True)[-1]
+    with open(wal, "ab") as handle:  # died mid-append
+        handle.write(last[: len(last) // 2])
+    run(serve_then_kill(batches[half:], seed=5))
+    service = run(restart())
+    assert not service.state.torn_tail_cut
+    assert service.stats["replayed"] == len(batches)
+    assert service.state.aggregator.batch_ids() == \
+        sorted(batch.batch_id for batch in batches)
 
 
 def test_service_queue_full_sheds_429_with_retry_after(tmp_path):
@@ -666,6 +758,17 @@ def test_run_bench_under_faults_and_saturation(tmp_path):
     assert report.snapshot_matches is True
     assert report.stats.failed == 0
     assert report.stats.retries > 0
+
+
+def test_run_bench_real_mode_matches_the_batch_baseline(tmp_path, device):
+    """``serve-bench --mode real``: full Hang Doctor device rounds,
+    uploaded, served and drained to the batch path's bytes."""
+    report = run_bench(tmp_path / "state", mode="real", devices=2,
+                       rounds=1, actions=4, device_profile=device)
+    assert report.batches_total > 0
+    assert report.snapshot_matches is True
+    assert report.undelivered == []
+    assert report.stats.delivered == report.batches_total
 
 
 # ------------------------------------------------- connection lifecycle
