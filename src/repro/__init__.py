@@ -13,81 +13,82 @@ rebuilt on a simulated Android substrate.  Start here:
 See ``examples/quickstart.py`` for the guided version, DESIGN.md for
 the system inventory, and EXPERIMENTS.md for the paper-vs-measured
 record of every table and figure.
+
+Every package namespace under ``repro`` is lazy: its ``__init__``
+imports no submodule, and each exported name is imported from its home
+module the first time it is read, so a process loads only the code it
+uses (see "Cold start" in ``docs/perf.md``).
 """
 
-from repro.apps import (
-    ActionSpec,
-    ApiKind,
-    ApiSpec,
-    AppSpec,
-    InputEventSpec,
-    MOTIVATION_APPS,
-    Operation,
-    SessionGenerator,
-    TABLE5_APPS,
-    UserSession,
-    build_corpus,
-    get_app,
-)
-from repro.core import (
-    ActionState,
-    BlockingApiDatabase,
-    HangBugReport,
-    HangDoctor,
-    HangDoctorConfig,
-)
-from repro.detectors import (
-    OfflineScanner,
-    TimeoutDetector,
-    UtilizationDetector,
-    run_detector,
-    run_detectors,
-)
-from repro.scenarios import generate_fleet, parse_mix, scenario_app
-from repro.testbed import MonkeyInputGenerator, TestBedRunner, lab_vs_wild
-from repro.sim import (
-    ExecutionEngine,
-    GALAXY_S3,
-    LG_V10,
-    NEXUS_5,
-    PERCEIVABLE_DELAY_MS,
-)
+import sys as _sys
+
+
+def _load(module):
+    """Import *module* by its absolute name and return it.
+
+    Through ``__import__`` rather than ``importlib.import_module``, so
+    that ``python -X importtime`` lists the modules loaded on access.
+    """
+    __import__(module)
+    return _sys.modules[module]
+
+
+def _lazy_exports(package, table):
+    """PEP 562 hooks for a package that imports its names on first use.
+
+    *table* maps each home module (relative to *package* when it starts
+    with a dot) to the names the package exports from it.  Returns the
+    package's ``__getattr__``, ``__dir__`` and ``__all__``.  A name is
+    imported from its home module the first time it is read and then
+    bound on the package, so later reads are plain attribute lookups.
+    Any other name imports the submodule or subpackage of that name.
+    """
+    homes = {name: package + home if home.startswith(".") else home
+             for home, names in table.items() for name in names}
+
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is not None:
+            value = getattr(_load(home), name)
+            setattr(_sys.modules[package], name, value)
+            return value
+        try:
+            return _load(f"{package}.{name}")
+        except ModuleNotFoundError as error:
+            if error.name != f"{package}.{name}":
+                raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        return sorted({*vars(_sys.modules[package]), *homes})
+
+    return __getattr__, __dir__, sorted(homes)
+
+
+_EXPORTS = {
+    ".apps.api": ("ApiKind", "ApiSpec"),
+    ".apps.app": ("ActionSpec", "AppSpec", "InputEventSpec", "Operation"),
+    ".apps.catalog": ("MOTIVATION_APPS", "TABLE5_APPS", "get_app"),
+    ".apps.corpus": ("build_corpus",),
+    ".apps.sessions": ("SessionGenerator", "UserSession"),
+    ".core.blocking_db": ("BlockingApiDatabase",),
+    ".core.config": ("HangDoctorConfig",),
+    ".core.hang_doctor": ("HangDoctor",),
+    ".core.report": ("HangBugReport",),
+    ".core.states": ("ActionState",),
+    ".detectors.offline": ("OfflineScanner",),
+    ".detectors.runner": ("run_detector", "run_detectors"),
+    ".detectors.timeout": ("TimeoutDetector",),
+    ".detectors.utilization": ("UtilizationDetector",),
+    ".scenarios.generator": ("generate_fleet", "scenario_app"),
+    ".scenarios.taxonomy": ("parse_mix",),
+    ".sim.device": ("GALAXY_S3", "LG_V10", "NEXUS_5"),
+    ".sim.engine": ("ExecutionEngine", "PERCEIVABLE_DELAY_MS"),
+    ".testbed.lab": ("TestBedRunner", "lab_vs_wild"),
+    ".testbed.monkey": ("MonkeyInputGenerator",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ActionSpec",
-    "ActionState",
-    "ApiKind",
-    "ApiSpec",
-    "AppSpec",
-    "BlockingApiDatabase",
-    "ExecutionEngine",
-    "GALAXY_S3",
-    "HangBugReport",
-    "HangDoctor",
-    "HangDoctorConfig",
-    "InputEventSpec",
-    "LG_V10",
-    "MOTIVATION_APPS",
-    "MonkeyInputGenerator",
-    "NEXUS_5",
-    "OfflineScanner",
-    "Operation",
-    "PERCEIVABLE_DELAY_MS",
-    "SessionGenerator",
-    "TABLE5_APPS",
-    "TestBedRunner",
-    "TimeoutDetector",
-    "UserSession",
-    "UtilizationDetector",
-    "build_corpus",
-    "generate_fleet",
-    "get_app",
-    "lab_vs_wild",
-    "parse_mix",
-    "run_detector",
-    "run_detectors",
-    "scenario_app",
-    "__version__",
-]
+__all__ += ["__version__"]

@@ -7,57 +7,20 @@ evaluation machinery of Section 4 (TP/FP/FN accounting against ground
 truth, and the monitoring-overhead model behind Figure 8(c)).
 """
 
-from repro.analysis.bootstrap import BootstrapResult, bootstrap_correlations
-from repro.analysis.correlation import (
-    CounterSample,
-    collect_samples,
-    correlate,
-    pearson,
-    ranked_events,
-    spearman,
-)
-from repro.analysis.metrics import (
-    ConfusionCounts,
-    detection_matches_bug,
-    match_detection,
-    traced_confusion,
-)
-from repro.analysis.overhead import OverheadModel, OverheadResult
-from repro.analysis.roc import RocCurve, auc_ranking, roc_curve
-from repro.analysis.summary import (
-    DetectorSummary,
-    render_summaries,
-    summarize_run,
-    summarize_runs,
-)
-from repro.analysis.sensitivity import sensitivity_analysis, subsample
-from repro.analysis.thresholds import FilterFit, fit_filter, fit_threshold
+from repro import _lazy_exports
 
-__all__ = [
-    "BootstrapResult",
-    "ConfusionCounts",
-    "CounterSample",
-    "FilterFit",
-    "OverheadModel",
-    "OverheadResult",
-    "RocCurve",
-    "DetectorSummary",
-    "auc_ranking",
-    "bootstrap_correlations",
-    "collect_samples",
-    "correlate",
-    "detection_matches_bug",
-    "fit_filter",
-    "fit_threshold",
-    "match_detection",
-    "pearson",
-    "render_summaries",
-    "roc_curve",
-    "spearman",
-    "summarize_run",
-    "summarize_runs",
-    "ranked_events",
-    "sensitivity_analysis",
-    "subsample",
-    "traced_confusion",
-]
+_EXPORTS = {
+    ".bootstrap": ("BootstrapResult", "bootstrap_correlations"),
+    ".correlation": ("CounterSample", "collect_samples", "correlate",
+                     "pearson", "ranked_events", "spearman"),
+    ".metrics": ("ConfusionCounts", "detection_matches_bug", "match_detection",
+                 "traced_confusion"),
+    ".overhead": ("OverheadModel", "OverheadResult"),
+    ".roc": ("RocCurve", "auc_ranking", "roc_curve"),
+    ".sensitivity": ("sensitivity_analysis", "subsample"),
+    ".summary": ("DetectorSummary", "render_summaries", "summarize_run",
+                 "summarize_runs"),
+    ".thresholds": ("FilterFit", "fit_filter", "fit_threshold"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,55 +9,22 @@ hand-models the named apps of the paper's Tables 1 and 5; the corpus
 module pads them with generated clean apps to reach the 114-app fleet.
 """
 
-from repro.apps.api import (
-    ApiKind,
-    ApiSpec,
-    UI_CLASS_PREFIXES,
-    blocking_api,
-    compute_op,
-    is_ui_class,
-    light_api,
-    ui_api,
-)
-from repro.apps.app import (
-    ActionSpec,
-    AppSpec,
-    BugReport,
-    InputEventSpec,
-    Operation,
-)
-from repro.apps.catalog import (
-    MOTIVATION_APPS,
-    NAMED_APPS,
-    TABLE5_APPS,
-    get_app,
-)
-from repro.apps.corpus import build_corpus
-from repro.apps.replay import replay, sessions_from_json, sessions_to_json
-from repro.apps.sessions import SessionGenerator, UserSession
+from repro import _lazy_exports
 
-__all__ = [
-    "ActionSpec",
-    "ApiKind",
-    "ApiSpec",
-    "AppSpec",
-    "BugReport",
-    "InputEventSpec",
-    "MOTIVATION_APPS",
-    "NAMED_APPS",
-    "Operation",
-    "SessionGenerator",
-    "TABLE5_APPS",
-    "UI_CLASS_PREFIXES",
-    "UserSession",
-    "blocking_api",
-    "build_corpus",
-    "compute_op",
-    "get_app",
-    "is_ui_class",
-    "light_api",
-    "replay",
-    "sessions_from_json",
-    "sessions_to_json",
-    "ui_api",
-]
+#: The paper's fleet size.  It lives here, not in the corpus, so the CLI
+#: parser can offer it without importing the catalog.
+FLEET_SIZE = 114
+
+_EXPORTS = {
+    ".api": ("ApiKind", "ApiSpec", "UI_CLASS_PREFIXES", "blocking_api",
+             "compute_op", "is_ui_class", "light_api", "ui_api"),
+    ".app": ("ActionSpec", "AppSpec", "BugReport", "InputEventSpec",
+             "Operation"),
+    ".catalog": ("MOTIVATION_APPS", "NAMED_APPS", "TABLE5_APPS", "get_app"),
+    ".corpus": ("build_corpus",),
+    ".replay": ("sessions_from_json", "sessions_to_json"),
+    ".sessions": ("SessionGenerator", "UserSession"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)
+__all__ += ["FLEET_SIZE"]

@@ -6,6 +6,7 @@ apps with generated *clean* apps (UI and light work only, across the
 store categories the paper lists) to reach the full fleet size.
 """
 
+from repro.apps import FLEET_SIZE
 from repro.apps import android_apis as apis
 from repro.apps.app import AppSpec
 from repro.apps.catalog import TABLE5_APPS
@@ -24,9 +25,6 @@ CATEGORIES = (
 #: UI/light building blocks for generated clean apps.
 _UI_POOL = apis.ALL_UI_APIS
 _LIGHT_POOL = apis.LIGHT_APIS
-
-#: Paper fleet size.
-FLEET_SIZE = 114
 
 
 def app_profile(rng):

@@ -6,15 +6,12 @@ streams, stack-frame records, and the operation-kind enum.  Both
 each other's internals, which keeps the package import-order safe.
 """
 
-from repro.base.frames import Frame, StackTrace, occurrence_factor
-from repro.base.kinds import ApiKind
-from repro.base.rng import stream, substream_seed
+from repro import _lazy_exports
 
-__all__ = [
-    "ApiKind",
-    "Frame",
-    "StackTrace",
-    "occurrence_factor",
-    "stream",
-    "substream_seed",
-]
+_EXPORTS = {
+    ".frames": ("Frame", "StackTrace", "occurrence_factor"),
+    ".kinds": ("ApiKind",),
+    ".rng": ("stream", "substream_seed"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

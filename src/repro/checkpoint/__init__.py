@@ -9,16 +9,11 @@ to an uninterrupted run.  See :mod:`repro.checkpoint.journal`
 for the mechanics and safety properties.
 """
 
-from repro.checkpoint.journal import (
-    JOURNAL_SCHEMA,
-    ShardJournal,
-    checkpointed_map,
-    run_key,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "JOURNAL_SCHEMA",
-    "ShardJournal",
-    "checkpointed_map",
-    "run_key",
-]
+_EXPORTS = {
+    ".journal": ("JOURNAL_SCHEMA", "ShardJournal", "checkpointed_map",
+                 "run_key"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

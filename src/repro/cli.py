@@ -30,15 +30,9 @@ import pathlib
 import sys
 
 from repro import telemetry
-from repro.apps.catalog import NAMED_APPS, TABLE5_APPS, get_app
-from repro.apps.corpus import FLEET_SIZE
-from repro.apps.sessions import SessionGenerator
+from repro.apps import FLEET_SIZE
 from repro.scenarios import DEFAULT_MIX
-from repro.core.hang_doctor import HangDoctor
-from repro.detectors.offline import OfflineScanner
-from repro.detectors.runner import run_detector
 from repro.sim.device import ALL_DEVICES
-from repro.sim.engine import ExecutionEngine
 
 
 def _workers(value):
@@ -71,6 +65,8 @@ def _device(name):
 
 def cmd_apps(args):
     """List the catalog apps with their bug counts."""
+    from repro.apps.catalog import NAMED_APPS
+
     print(f"{'app':18s}{'category':18s}{'actions':>8}{'bugs':>6}")
     for app in NAMED_APPS.values():
         print(f"{app.name:18s}{app.category:18s}"
@@ -79,6 +75,12 @@ def cmd_apps(args):
 
 def cmd_session(args):
     """Run Hang Doctor over one app's simulated user session."""
+    from repro.apps.catalog import get_app
+    from repro.apps.sessions import SessionGenerator
+    from repro.core.hang_doctor import HangDoctor
+    from repro.detectors.runner import run_detector
+    from repro.sim.engine import ExecutionEngine
+
     app = get_app(args.app)
     engine = ExecutionEngine(_device(args.device), seed=args.seed)
     doctor = HangDoctor(app, engine.device, seed=args.seed)
@@ -97,6 +99,9 @@ def cmd_session(args):
 
 def cmd_scan(args):
     """Run the offline scanner over an app; list hits and misses."""
+    from repro.apps.catalog import get_app
+    from repro.detectors.offline import OfflineScanner
+
     app = get_app(args.app)
     scanner = OfflineScanner(analyze_libraries=not args.source_only)
     for detection in scanner.scan_app(app):
@@ -418,6 +423,7 @@ def cmd_verify(args):
 
 def cmd_testbed(args):
     """Compare in-lab vs in-the-wild bug coverage."""
+    from repro.apps.catalog import TABLE5_APPS, get_app
     from repro.testbed import lab_vs_wild
 
     apps = (

@@ -18,42 +18,23 @@ scanners; everything is summarized for the developer in the
 :class:`~repro.core.report.HangBugReport`.
 """
 
-from repro.core.adaptation import (
-    AdaptationResult,
-    BackgroundCollector,
-    FilterAdapter,
-)
-from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.config import HangDoctorConfig
-from repro.core.diagnoser import Diagnoser
-from repro.core.event_monitor import PerformanceEventMonitor
-from repro.core.hang_doctor import HangDoctor
-from repro.core.injector import AppInjector
-from repro.core.report import HangBugReport, ReportEntry
-from repro.core.response_monitor import ResponseTimeMonitor
-from repro.core.schecker import SChecker, SymptomCheck
-from repro.core.states import ActionState, ActionStateMachine
-from repro.core.trace_analyzer import Diagnosis, TraceAnalyzer
-from repro.core.trace_collector import TraceCollector
+from repro import _lazy_exports
 
-__all__ = [
-    "ActionState",
-    "ActionStateMachine",
-    "AdaptationResult",
-    "AppInjector",
-    "BackgroundCollector",
-    "BlockingApiDatabase",
-    "Diagnoser",
-    "Diagnosis",
-    "FilterAdapter",
-    "HangBugReport",
-    "HangDoctor",
-    "HangDoctorConfig",
-    "PerformanceEventMonitor",
-    "ReportEntry",
-    "ResponseTimeMonitor",
-    "SChecker",
-    "SymptomCheck",
-    "TraceAnalyzer",
-    "TraceCollector",
-]
+_EXPORTS = {
+    ".adaptation": ("AdaptationResult", "BackgroundCollector",
+                    "FilterAdapter"),
+    ".blocking_db": ("BlockingApiDatabase",),
+    ".config": ("HangDoctorConfig",),
+    ".diagnoser": ("Diagnoser",),
+    ".event_monitor": ("PerformanceEventMonitor",),
+    ".hang_doctor": ("HangDoctor",),
+    ".injector": ("AppInjector",),
+    ".report": ("HangBugReport", "ReportEntry"),
+    ".response_monitor": ("ResponseTimeMonitor",),
+    ".schecker": ("SChecker", "SymptomCheck"),
+    ".states": ("ActionState", "ActionStateMachine"),
+    ".trace_analyzer": ("Diagnosis", "TraceAnalyzer"),
+    ".trace_collector": ("TraceCollector",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -14,34 +14,13 @@ See ``docs/crowd.md`` for the pipeline walk-through and
 the diagnosis-cost reduction.
 """
 
-from repro.crowd.aggregator import (
-    BugObservation,
-    CrowdAggregator,
-    CrowdBugStat,
-    CrowdKnowledge,
-    KnownBug,
-    ReportBatch,
-)
-from repro.crowd.store import (
-    aggregator_from_json,
-    aggregator_to_json,
-    batch_from_dict,
-    batch_to_dict,
-    load_aggregator,
-    save_aggregator,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BugObservation",
-    "CrowdAggregator",
-    "CrowdBugStat",
-    "CrowdKnowledge",
-    "KnownBug",
-    "ReportBatch",
-    "aggregator_from_json",
-    "aggregator_to_json",
-    "batch_from_dict",
-    "batch_to_dict",
-    "load_aggregator",
-    "save_aggregator",
-]
+_EXPORTS = {
+    ".aggregator": ("BugObservation", "CrowdAggregator", "CrowdBugStat",
+                    "CrowdKnowledge", "KnownBug", "ReportBatch"),
+    ".store": ("aggregator_from_json", "aggregator_to_json", "batch_from_dict",
+               "batch_to_dict", "load_aggregator", "save_aggregator"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

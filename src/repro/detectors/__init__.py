@@ -9,35 +9,16 @@ over identical app sessions by :mod:`repro.detectors.runner`, with
 their monitoring activity metered for the overhead model.
 """
 
-from repro.detectors.base import (
-    ActionOutcome,
-    Detection,
-    Detector,
-    MonitoringCost,
-)
-from repro.detectors.offline import OfflineDetection, OfflineScanner
-from repro.detectors.runner import DetectorRun, run_detector, run_detectors
-from repro.detectors.timeout import TimeoutDetector
-from repro.detectors.watchdog import WatchdogDetector
-from repro.detectors.utilization import (
-    UtilizationDetector,
-    UtilizationThresholds,
-    fit_thresholds,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ActionOutcome",
-    "Detection",
-    "Detector",
-    "DetectorRun",
-    "MonitoringCost",
-    "OfflineDetection",
-    "OfflineScanner",
-    "TimeoutDetector",
-    "UtilizationDetector",
-    "WatchdogDetector",
-    "UtilizationThresholds",
-    "fit_thresholds",
-    "run_detector",
-    "run_detectors",
-]
+_EXPORTS = {
+    ".base": ("ActionOutcome", "Detection", "Detector", "MonitoringCost"),
+    ".offline": ("OfflineDetection", "OfflineScanner"),
+    ".runner": ("DetectorRun", "run_detector", "run_detectors"),
+    ".timeout": ("TimeoutDetector",),
+    ".utilization": ("UtilizationDetector", "UtilizationThresholds",
+                     "fit_thresholds"),
+    ".watchdog": ("WatchdogDetector",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -10,22 +10,13 @@ experiment (:mod:`repro.harness.exp_chaos`, ``python -m repro chaos``)
 sweeps fault rates and reports how much detection quality survives.
 """
 
-from repro.faults.injector import (
-    CounterUnavailableError,
-    FaultInjector,
-    InjectedFault,
-    TornWriteError,
-    TraceCollectionError,
-    TransientCounterError,
-)
-from repro.faults.plan import FaultPlan
+from repro import _lazy_exports
 
-__all__ = [
-    "CounterUnavailableError",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectedFault",
-    "TornWriteError",
-    "TraceCollectionError",
-    "TransientCounterError",
-]
+_EXPORTS = {
+    ".injector": ("CounterUnavailableError", "FaultInjector", "InjectedFault",
+                  "TornWriteError", "TraceCollectionError",
+                  "TransientCounterError"),
+    ".plan": ("FaultPlan",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -7,22 +7,13 @@ around these functions; ``EXPERIMENTS.md`` records paper-vs-measured
 for each.
 """
 
-from repro.harness.tables import render_table
-from repro.harness.training import (
-    TRAINING_BUG_SITES,
-    build_ui_probe_app,
-    collect_training_samples,
-    training_bug_cases,
-    training_ui_cases,
-    validation_bug_cases,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "TRAINING_BUG_SITES",
-    "build_ui_probe_app",
-    "collect_training_samples",
-    "render_table",
-    "training_bug_cases",
-    "training_ui_cases",
-    "validation_bug_cases",
-]
+_EXPORTS = {
+    ".tables": ("render_table",),
+    ".training": ("TRAINING_BUG_SITES", "build_ui_probe_app",
+                  "collect_training_samples", "training_bug_cases",
+                  "training_ui_cases", "validation_bug_cases"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -20,55 +20,18 @@ Like the telemetry package it builds on, ``repro.obs`` imports
 nothing from the harness or serve layers — those call *into* it.
 """
 
-from repro.obs.dash import render_dash
-from repro.obs.exports import OBS_FILENAMES, write_obs_exports
-from repro.obs.profile import (
-    collapse_stacks,
-    flamegraph_text,
-    self_time_rows,
-)
-from repro.obs.prometheus import (
-    CONTENT_TYPE,
-    render_prometheus,
-    split_labels,
-)
-from repro.obs.rollup import (
-    DEFAULT_WINDOW_MS,
-    Rollup,
-    bucket_quantile,
-    records_from_jsonl,
-    rollup_from_session,
-)
-from repro.obs.slo import (
-    DEFAULT_LONG_WINDOWS,
-    DEFAULT_OBJECTIVES,
-    PAGE_BURN,
-    TICKET_BURN,
-    alerts_to_jsonl,
-    evaluate_slos,
-    render_slo_table,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "DEFAULT_LONG_WINDOWS",
-    "DEFAULT_OBJECTIVES",
-    "DEFAULT_WINDOW_MS",
-    "OBS_FILENAMES",
-    "PAGE_BURN",
-    "Rollup",
-    "TICKET_BURN",
-    "alerts_to_jsonl",
-    "bucket_quantile",
-    "collapse_stacks",
-    "evaluate_slos",
-    "flamegraph_text",
-    "records_from_jsonl",
-    "render_dash",
-    "render_prometheus",
-    "render_slo_table",
-    "rollup_from_session",
-    "self_time_rows",
-    "split_labels",
-    "write_obs_exports",
-]
+_EXPORTS = {
+    ".dash": ("render_dash",),
+    ".exports": ("OBS_FILENAMES", "write_obs_exports"),
+    ".profile": ("collapse_stacks", "flamegraph_text", "self_time_rows"),
+    ".prometheus": ("CONTENT_TYPE", "render_prometheus", "split_labels"),
+    ".rollup": ("DEFAULT_WINDOW_MS", "Rollup", "bucket_quantile",
+                "records_from_jsonl", "rollup_from_session"),
+    ".slo": ("DEFAULT_LONG_WINDOWS", "DEFAULT_OBJECTIVES", "PAGE_BURN",
+             "TICKET_BURN", "alerts_to_jsonl", "evaluate_slos",
+             "render_slo_table"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,11 @@ currently used ANR tool".  This package builds that framework:
   developer of every app that calls the same API).
 """
 
-from repro.osint.anr import AnrEvent, AnrWatchdog
-from repro.osint.service import OsHangService, SystemReport
+from repro import _lazy_exports
 
-__all__ = ["AnrEvent", "AnrWatchdog", "OsHangService", "SystemReport"]
+_EXPORTS = {
+    ".anr": ("AnrEvent", "AnrWatchdog"),
+    ".service": ("OsHangService", "SystemReport"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -21,16 +21,11 @@ degradation is accounted in an :class:`ExecutionReport` instead of
 happening silently.
 """
 
-from repro.parallel.executor import (
-    ExecutionReport,
-    PartialResult,
-    parallel_map,
-    resolve_workers,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ExecutionReport",
-    "PartialResult",
-    "parallel_map",
-    "resolve_workers",
-]
+_EXPORTS = {
+    ".executor": ("ExecutionReport", "PartialResult", "parallel_map",
+                  "resolve_workers"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 from repro.apps.app import AppSpec
 from repro.base.rng import stream
-from repro.scenarios.taxonomy import (
-    ARCHETYPES,
-    DEFAULT_MIX,
-    assign_archetypes,
-)
+from repro.scenarios import DEFAULT_MIX
+from repro.scenarios.taxonomy import ARCHETYPES, assign_archetypes
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,6 @@ _BY_ANY_NAME = {
     **ARCHETYPES,
 }
 
-#: The acceptance-criteria mix: mostly clean, the paper's family next,
-#: the new archetypes as the tail.
-DEFAULT_MIX = (
-    "clean=0.5,blocking=0.2,async=0.15,ipc=0.05,race=0.05,render=0.05"
-)
-
 
 def parse_mix(spec):
     """Normalize a mix spec into ``((name, fraction), ...)``.

@@ -10,16 +10,11 @@ checkpoint layer.  Scheduling never changes output bytes: every work
 item is pure and results merge in key order.
 """
 
-from repro.sched.scheduler import (
-    DEADLINE_JITTER,
-    MAX_IDLE_ROUNDS,
-    ElasticScheduler,
-    pack_by_weight,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DEADLINE_JITTER",
-    "MAX_IDLE_ROUNDS",
-    "ElasticScheduler",
-    "pack_by_weight",
-]
+_EXPORTS = {
+    ".scheduler": ("DEADLINE_JITTER", "MAX_IDLE_ROUNDS", "ElasticScheduler",
+                   "pack_by_weight"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

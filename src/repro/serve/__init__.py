@@ -43,19 +43,14 @@ batch path over the same fleet, for any client concurrency and across
 a mid-run server SIGKILL + restart.  See ``docs/serve.md``.
 """
 
-from repro.serve.client import ClientStats, DeliveryError, ServeClient
-from repro.serve.loadgen import LoadgenReport, run_bench
-from repro.serve.service import IngestService
-from repro.serve.state import ServiceState
-from repro.serve.wal import BatchJournal
+from repro import _lazy_exports
 
-__all__ = [
-    "BatchJournal",
-    "ClientStats",
-    "DeliveryError",
-    "IngestService",
-    "LoadgenReport",
-    "ServeClient",
-    "ServiceState",
-    "run_bench",
-]
+_EXPORTS = {
+    ".client": ("ClientStats", "DeliveryError", "ServeClient"),
+    ".loadgen": ("LoadgenReport", "run_bench"),
+    ".service": ("IngestService",),
+    ".state": ("ServiceState",),
+    ".wal": ("BatchJournal",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

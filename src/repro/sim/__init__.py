@@ -8,66 +8,24 @@ performance-event counters.  Detection code in :mod:`repro.core` and
 expose — response times, counter readings, and stack-trace samples.
 """
 
-from repro.base.rng import stream
-from repro.sim.counters import (
-    ALL_EVENTS,
-    CounterModel,
-    FILTER_EVENTS,
-    KERNEL_EVENTS,
-    PMU_EVENTS,
-)
-from repro.sim.device import ALL_DEVICES, DeviceProfile, GALAXY_S3, LG_V10, NEXUS_5
-from repro.sim.engine import (
-    ActionExecution,
-    ExecutionEngine,
-    InputEventExecution,
-    OperationExecution,
-    PERCEIVABLE_DELAY_MS,
-)
-from repro.sim.jank import FrameStats, execution_frame_stats, frame_stats, hang_frame_stats
-from repro.sim.looper import DispatchRecord, Looper, Message
-from repro.sim.pmu import PmuSampler
-from repro.sim.stacktrace import Frame, StackTrace, StackTraceSampler, occurrence_factor
-from repro.sim.timeline import (
-    MAIN_THREAD,
-    RENDER_THREAD,
-    Segment,
-    Timeline,
-    WORKER_THREAD,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ALL_DEVICES",
-    "ALL_EVENTS",
-    "ActionExecution",
-    "CounterModel",
-    "DeviceProfile",
-    "DispatchRecord",
-    "ExecutionEngine",
-    "FILTER_EVENTS",
-    "FrameStats",
-    "Frame",
-    "GALAXY_S3",
-    "InputEventExecution",
-    "KERNEL_EVENTS",
-    "LG_V10",
-    "Looper",
-    "MAIN_THREAD",
-    "Message",
-    "NEXUS_5",
-    "OperationExecution",
-    "PERCEIVABLE_DELAY_MS",
-    "PMU_EVENTS",
-    "PmuSampler",
-    "RENDER_THREAD",
-    "Segment",
-    "StackTrace",
-    "StackTraceSampler",
-    "Timeline",
-    "WORKER_THREAD",
-    "execution_frame_stats",
-    "frame_stats",
-    "hang_frame_stats",
-    "occurrence_factor",
-    "stream",
-]
+_EXPORTS = {
+    "repro.base.rng": ("stream",),
+    ".counters": ("ALL_EVENTS", "CounterModel", "FILTER_EVENTS",
+                  "KERNEL_EVENTS", "PMU_EVENTS"),
+    ".device": ("ALL_DEVICES", "DeviceProfile", "GALAXY_S3", "LG_V10",
+                "NEXUS_5"),
+    ".engine": ("ActionExecution", "ExecutionEngine", "InputEventExecution",
+                "OperationExecution", "PERCEIVABLE_DELAY_MS"),
+    ".jank": ("FrameStats", "execution_frame_stats", "frame_stats",
+              "hang_frame_stats"),
+    ".looper": ("DispatchRecord", "Looper", "Message"),
+    ".pmu": ("PmuSampler",),
+    ".stacktrace": ("Frame", "StackTrace", "StackTraceSampler",
+                    "occurrence_factor"),
+    ".timeline": ("MAIN_THREAD", "RENDER_THREAD", "Segment", "Timeline",
+                  "WORKER_THREAD"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -20,62 +20,18 @@ This package deliberately imports nothing from the rest of
 every layer can instrument itself without import cycles.
 """
 
-from repro.telemetry.api import (
-    NOOP,
-    SHARD_BASE_TRACK,
-    NoopTelemetry,
-    Session,
-    ShardTelemetry,
-    SpanRecord,
-    absorb_value,
-    activate,
-    active,
-    collect_shard,
-    current,
-    deactivate,
-    session,
-)
-from repro.telemetry.exporters import (
-    EXPORT_FILENAMES,
-    export_advisory_jsonl,
-    export_chrome_trace,
-    export_jsonl,
-    export_metrics_text,
-    render_trace_summary,
-    span_self_times,
-    top_spans_by_self_time,
-    write_exports,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS_MS,
-    MetricsRegistry,
-    labeled,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS_MS",
-    "EXPORT_FILENAMES",
-    "MetricsRegistry",
-    "NOOP",
-    "NoopTelemetry",
-    "SHARD_BASE_TRACK",
-    "Session",
-    "ShardTelemetry",
-    "SpanRecord",
-    "absorb_value",
-    "activate",
-    "active",
-    "collect_shard",
-    "current",
-    "deactivate",
-    "export_advisory_jsonl",
-    "export_chrome_trace",
-    "export_jsonl",
-    "export_metrics_text",
-    "labeled",
-    "render_trace_summary",
-    "session",
-    "span_self_times",
-    "top_spans_by_self_time",
-    "write_exports",
-]
+_EXPORTS = {
+    ".api": ("NOOP", "SHARD_BASE_TRACK", "NoopTelemetry", "Session",
+             "ShardTelemetry", "SpanRecord", "absorb_value", "activate",
+             "active", "collect_shard", "current", "deactivate", "session"),
+    ".exporters": ("EXPORT_FILENAMES", "export_advisory_jsonl",
+                   "export_chrome_trace", "export_jsonl",
+                   "export_metrics_text", "render_trace_summary",
+                   "span_self_times", "top_spans_by_self_time",
+                   "write_exports"),
+    ".metrics": ("DEFAULT_BUCKETS_MS", "MetricsRegistry", "labeled"),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)

@@ -14,12 +14,11 @@ this as :attr:`~repro.apps.api.ApiSpec.lab_manifest_scale`, and
 :func:`~repro.testbed.lab.lab_vs_wild` measures the coverage gap.
 """
 
-from repro.testbed.lab import LabReport, TestBedRunner, lab_vs_wild
-from repro.testbed.monkey import MonkeyInputGenerator
+from repro import _lazy_exports
 
-__all__ = [
-    "LabReport",
-    "MonkeyInputGenerator",
-    "TestBedRunner",
-    "lab_vs_wild",
-]
+_EXPORTS = {
+    ".lab": ("LabReport", "TestBedRunner", "lab_vs_wild"),
+    ".monkey": ("MonkeyInputGenerator",),
+}
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)
