@@ -10,16 +10,12 @@ truth, and the monitoring-overhead model behind Figure 8(c)).
 from repro import _lazy_exports
 
 _EXPORTS = {
-    ".bootstrap": ("BootstrapResult", "bootstrap_correlations"),
     ".correlation": ("CounterSample", "collect_samples", "correlate",
                      "pearson", "ranked_events", "spearman"),
     ".metrics": ("ConfusionCounts", "detection_matches_bug", "match_detection",
                  "traced_confusion"),
     ".overhead": ("OverheadModel", "OverheadResult"),
-    ".roc": ("RocCurve", "auc_ranking", "roc_curve"),
     ".sensitivity": ("sensitivity_analysis", "subsample"),
-    ".summary": ("DetectorSummary", "render_summaries", "summarize_run",
-                 "summarize_runs"),
     ".thresholds": ("FilterFit", "fit_filter", "fit_threshold"),
 }
 

@@ -22,7 +22,6 @@ _EXPORTS = {
              "Operation"),
     ".catalog": ("MOTIVATION_APPS", "NAMED_APPS", "TABLE5_APPS", "get_app"),
     ".corpus": ("build_corpus",),
-    ".replay": ("sessions_from_json", "sessions_to_json"),
     ".sessions": ("SessionGenerator", "UserSession"),
 }
 

@@ -56,11 +56,3 @@ class SessionGenerator:
             self.user_session(app, user_id, actions_per_user)
             for user_id in range(users)
         ]
-
-    def coverage_session(self, app, repeats=3, user_id=0):
-        """A trace that executes every action *repeats* times (round
-        robin) — used when an experiment must touch every action."""
-        names = [action.name for action in app.actions] * repeats
-        return UserSession(
-            app_name=app.name, user_id=user_id, action_names=tuple(names)
-        )

@@ -30,7 +30,6 @@ _EXPORTS = {
     ".hang_doctor": ("HangDoctor",),
     ".injector": ("AppInjector",),
     ".report": ("HangBugReport", "ReportEntry"),
-    ".response_monitor": ("ResponseTimeMonitor",),
     ".schecker": ("SChecker", "SymptomCheck"),
     ".states": ("ActionState", "ActionStateMachine"),
     ".trace_analyzer": ("Diagnosis", "TraceAnalyzer"),

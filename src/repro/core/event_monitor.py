@@ -85,16 +85,3 @@ class PerformanceEventMonitor:
                 start_ms=lo, end_ms=hi,
             ))
         return values
-
-    def read_thread_totals(self, execution, thread, start_ms=None, end_ms=None):
-        """Raw per-thread totals (used by main-thread-only ablations)."""
-        lo = execution.start_ms if start_ms is None else start_ms
-        hi = execution.end_ms if end_ms is None else end_ms
-        self._begin_read(lo, hi)
-        return {
-            event: self._corrupt(
-                event,
-                self._sampler.read(execution.timeline, thread, event, lo, hi),
-            )
-            for event in self.events
-        }

@@ -1,14 +1,15 @@
-"""Persistence and anonymized telemetry.
+"""Persistence: reports, the blocking-API database, and durable writes.
 
-The paper's privacy stance (§3.2): "all the anonymized data sent out
-from the user devices only include those blocking operations that have
-caused a soft hang."  This module defines exactly that wire format —
-a detection record carries the blamed operation, its source location,
-the hang length and occurrence factor, and nothing else (no action
-sequences, no content, no identifiers beyond an opaque device id) —
-plus JSON round-trips for the Hang Bug Report and the blocking-API
-database so state survives app restarts and database upgrades can be
-shipped to devices.
+JSON round-trips for the Hang Bug Report and the blocking-API database,
+so state survives app restarts and database upgrades can be shipped to
+devices.  What a device sends out is not defined here.  The paper's
+privacy stance (§3.2), "all the anonymized data sent out from the user
+devices only include those blocking operations that have caused a soft
+hang", applies to the crowd upload body,
+:func:`repro.crowd.store.batch_to_dict`.  Per bug it carries the
+root-cause signature, the action's name, the blamed operation and its
+source location, and hang statistics; no content, no stack, and no
+identifier beyond an opaque device id.
 
 Robustness contract: the ``*_from_json`` parsers validate payloads and
 raise one clear :class:`ValueError` naming the offending key on any
@@ -277,19 +278,6 @@ def _field(mapping, key, context):
     return mapping[key]
 
 
-def detection_to_record(detection, device_id=0):
-    """The anonymized telemetry record for one detection."""
-    return {
-        "operation": detection.root_name,
-        "file": detection.root.file if detection.root else None,
-        "line": detection.root.line if detection.root else None,
-        "self_developed": detection.is_self_developed,
-        "response_time_ms": round(detection.response_time_ms, 1),
-        "occurrence_factor": round(detection.occurrence, 3),
-        "device": device_id,
-    }
-
-
 def report_to_json(report):
     """Serialize a Hang Bug Report."""
     entries = []
@@ -377,46 +365,6 @@ def load_report(text, app_name, faults=None):
         report = HangBugReport(app_name)
         report.recovered_from_corruption = True
         return report
-
-
-def merge_reports(reports, app_name=None):
-    """Merge per-device reports into one fleet report.
-
-    This is the server-side half of the paper's deployment: each
-    device uploads its own (anonymized) report; the developer sees the
-    aggregate ordered by occurrences across all devices.  Degradation
-    records concatenate; a merged report is marked recovered if any
-    input was.
-    """
-    if not reports:
-        raise ValueError("no reports to merge")
-    names = {report.app_name for report in reports}
-    if app_name is None:
-        if len(names) > 1:
-            raise ValueError(f"reports for different apps: {sorted(names)}")
-        app_name = next(iter(names))
-    merged = HangBugReport(app_name)
-    for report in reports:
-        for entry in report.entries():
-            key = (entry.action, entry.operation, entry.file, entry.line)
-            existing = merged._entries.get(key)
-            if existing is None:
-                existing = ReportEntry(
-                    operation=entry.operation, file=entry.file,
-                    line=entry.line,
-                    is_self_developed=entry.is_self_developed,
-                    action=entry.action,
-                )
-                merged._entries[key] = existing
-            existing.occurrences += entry.occurrences
-            existing.devices |= entry.devices
-            existing.total_hang_ms += entry.total_hang_ms
-            existing.max_occurrence_factor = max(
-                existing.max_occurrence_factor, entry.max_occurrence_factor
-            )
-        merged.degradations.extend(report.degradations)
-        merged.recovered_from_corruption |= report.recovered_from_corruption
-    return merged
 
 
 def database_to_json(db):

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.base.frames import Frame
-from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.telemetry import current as telemetry
 
@@ -237,13 +236,6 @@ class CrowdAggregator:
         telemetry().count("crowd.batches.ingested")
         return True
 
-    def ingest_report(self, report, device_id, time_ms, batch_id=None):
-        """Digest and ingest a report in one step (returns the batch)."""
-        batch = ReportBatch.from_report(report, device_id, time_ms,
-                                        batch_id=batch_id)
-        self.ingest(batch)
-        return batch
-
     @classmethod
     def merge(cls, parts):
         """Union several aggregators' states into a new one.
@@ -389,17 +381,3 @@ class CrowdAggregator:
         for operation in operations:
             db.add(operation)
         return db
-
-    # ----------------------------------------------------------- sharding
-
-    @staticmethod
-    def shard_of(batch_id, shards):
-        """Deterministic shard index for a batch id.
-
-        A keyed-hash partition (stable across processes and Python
-        ``PYTHONHASHSEED``), so a fleet's upload stream splits across
-        ingestion workers identically on every run.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        return substream_seed(0, "crowd-shard", batch_id) % shards

@@ -280,15 +280,12 @@ class ExecutionEngine:
             self._plans[key] = plan
         return plan
 
-    def run_action(self, app, action, start_ms=0.0, looper=None):
+    def run_action(self, app, action, start_ms=0.0):
         """Execute *action* of *app* starting at *start_ms*.
 
-        A caller may supply its own *looper* (e.g. one with response-
-        time monitors installed via ``set_message_logging``).
-        Otherwise the engine drains a private FIFO queue inline, with
-        the timings a looper without printers gives; only the
-        ``columnar=False`` reference still posts to a private
-        :class:`~repro.sim.looper.Looper`.
+        The action's input events drain inline in FIFO order, with the
+        timings a :class:`~repro.sim.looper.Looper` gives; only the
+        ``columnar=False`` reference still posts them to one.
         """
         self._execution_index += 1
         # columnar=False bypasses the plan cache entirely: the
@@ -310,9 +307,7 @@ class ExecutionEngine:
             rng = reseed_prefixed(
                 self._lazy_rng, prefix, self._execution_index
             )
-            return self._run_action_lazy(
-                app, action, plan, start_ms, rng, looper
-            )
+            return self._run_action_lazy(app, action, plan, start_ms, rng)
         rng = stream(self.seed, app.name, action.name, self._execution_index)
         # The DVFS governor holds one frequency across a short action.
         dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
@@ -324,9 +319,7 @@ class ExecutionEngine:
             )
         else:
             run_op = partial(self._run_operation, rng, dvfs, segments)
-        events, clock = self._dispatch(
-            app, action, plan, start_ms, looper, run_op
-        )
+        events, clock = self._dispatch(action, plan, start_ms, run_op)
         # The settle marks the end of the *action* (the window S-Checker
         # accumulates counters over); the ambient activity after it
         # belongs to the app's steady state (see _ambient_rows).  Full
@@ -359,13 +352,11 @@ class ExecutionEngine:
         for name in action_names:
             action = app.action(name)
             plan = self._plan(app, action)
-            for event_spec in action.events:
+            for event_spec, ops in zip(action.events, plan.events):
                 looper.post(
                     Message(
                         target=f"{name}/{event_spec.name}",
-                        payload=plan.ops_for(
-                            event_spec, app.package, self.environment
-                        ),
+                        payload=ops,
                         enqueue_ms=start_ms,
                     )
                 )
@@ -399,7 +390,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # The action model, shared by both universes.
 
-    def _dispatch(self, app, action, plan, start_ms, looper, run_op):
+    def _dispatch(self, action, plan, start_ms, run_op):
         """Run *action*'s input events one at a time in queue order.
 
         Every input event is enqueued at *start_ms*; each is dispatched
@@ -426,18 +417,17 @@ class ExecutionEngine:
             )
             return clock
 
-        if plan is not None and looper is None:
-            # Private queue + cached plan: inline the FIFO drain.  The
-            # queue would hold one message per input event, all
-            # enqueued at start_ms and drained with no printers — the
+        if plan is not None:
+            # Cached plan: inline the FIFO drain.  A queue would hold one
+            # message per input event, all enqueued at start_ms — the
             # timing bookkeeping below is exactly Looper.dispatch_all's
-            # and involves no draws, so neither universe's draw
-            # sequence depends on which branch runs.
+            # and involves no draws, so the draw sequence does not
+            # depend on which branch runs.
             clock = start_ms
             for event_spec, ops in zip(action.events, plan.events):
                 clock = run_event(event_spec, ops, start_ms, clock)
         else:
-            looper = looper if looper is not None else Looper()
+            looper = Looper()
             for event_spec in action.events:
                 looper.post(
                     Message(target=event_spec.name, payload=event_spec,
@@ -446,11 +436,8 @@ class ExecutionEngine:
 
             def handle(message, dispatch_ms):
                 spec = message.payload
-                if plan is None:
-                    ops = spec.operations
-                else:
-                    ops = plan.ops_for(spec, app.package, self.environment)
-                return run_event(spec, ops, message.enqueue_ms, dispatch_ms)
+                return run_event(spec, spec.operations, message.enqueue_ms,
+                                 dispatch_ms)
 
             looper.dispatch_all(handle, start_ms)
         if not events:
@@ -704,7 +691,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Lazy-mode pooled draws.
 
-    def _run_action_lazy(self, app, action, plan, start_ms, rng, looper):
+    def _run_action_lazy(self, app, action, plan, start_ms, rng):
         """The action model with pooled draws, for lazy engines.
 
         All per-operation draws come from vectors pooled up front
@@ -725,8 +712,6 @@ class ExecutionEngine:
         z_pool = rng.standard_normal(
             n_ops * (3 if plan.has_network else 2)
         ).tolist()
-        pages_off = n_ops
-        network_off = 2 * n_ops if plan.has_network else None
 
         # One row per segment, in timeline order; the counts come from
         # one batch at the end.
@@ -739,42 +724,26 @@ class ExecutionEngine:
         def run_op(op_plan, clock, op_execs):
             index = op_cursor[0]
             op_cursor[0] = index + 1
-            if index < n_ops:
-                u = uniforms[index]
-                dz = z_pool[index]
-                pz = z_pool[pages_off + index]
-                nz = (
-                    z_pool[network_off + index]
-                    if network_off is not None else None
-                )
-            else:
-                # Off-plan message (pre-posted on a caller-supplied
-                # looper): extend the pools with scalar draws.
-                u = float(rng.random())
-                dz = float(rng.standard_normal())
-                pz = float(rng.standard_normal())
-                nz = None
-            manifested = u < op_plan.manifest_prob
+            dz = z_pool[index]
+            manifested = uniforms[index] < op_plan.manifest_prob
             if manifested:
                 duration = math.exp(op_plan.log_mu + op_plan.sigma * dz)
                 base_pages = op_plan.pages
             else:
                 duration = max(0.05, op_plan.fast_ms * math.exp(0.3 * dz))
                 base_pages = op_plan.pages_fast
-            pages = int(base_pages * math.exp(0.6 * pz))
+            pages = int(base_pages * math.exp(0.6 * z_pool[n_ops + index]))
             if op_plan.network_bytes and manifested and not op_plan.on_worker:
-                if nz is None:
-                    nz = float(rng.standard_normal())
+                # plan.has_network holds, so the pool has a network z.
                 network_rows[len(rows)] = float(
-                    op_plan.network_bytes * math.exp(0.3 * nz)
+                    op_plan.network_bytes
+                    * math.exp(0.3 * z_pool[2 * n_ops + index])
                 )
             return self._op_rows(
                 op_plan, clock, manifested, duration, pages, op_execs, rows
             )
 
-        events, clock = self._dispatch(
-            app, action, plan, start_ms, looper, run_op
-        )
+        events, clock = self._dispatch(action, plan, start_ms, run_op)
         end_ms = clock + self._settle_ms
         rows.append((clock, self._settle_params, (), None))
         rows.extend(_ambient_rows(end_ms, ambient_ms))

@@ -2,23 +2,21 @@
 
 Android delivers user input to an app's main thread as messages on the
 ``Looper`` queue; input events execute one at a time in FIFO order,
-which is exactly why a blocking operation freezes the UI.  Hang Doctor
-measures per-event response times by installing a logging printer via
-``Looper.setMessageLogging``, which Android invokes with a
-``>>>>> Dispatching to <target>`` line when a message is dequeued and a
-``<<<<< Finished`` line when it completes.
+which is exactly why a blocking operation freezes the UI.  On a phone,
+Hang Doctor times each input event between the two lines that
+``Looper.setMessageLogging`` prints when a message is dequeued and
+when it finishes.
 
-This module reproduces that mechanism: the engine posts one
-:class:`Message` per input event and drains the queue through a
-handler; any number of logging printers observe dispatch boundaries
-with timestamps, which is all the response-time monitor needs.
+This module reproduces the queue.  The engine's queued bursts and its
+``columnar=False`` reference post one :class:`Message` per input event
+and drain them through a handler; each :class:`DispatchRecord` carries
+the dispatch and finish times those two lines would bracket.  Other
+actions drain their events inline, with the same timings, and record
+them on every :class:`~repro.sim.engine.InputEventExecution`.
 """
 
 from collections import deque
 from dataclasses import dataclass
-
-DISPATCH_PREFIX = ">>>>> Dispatching to "
-FINISH_PREFIX = "<<<<< Finished to "
 
 
 @dataclass(frozen=True)
@@ -51,23 +49,10 @@ class DispatchRecord:
 
 
 class Looper:
-    """FIFO message queue with Android-style logging hooks."""
+    """FIFO message queue."""
 
     def __init__(self):
         self._queue = deque()
-        self._printers = []
-
-    def set_message_logging(self, printer):
-        """Install a logging printer (``printer(line, time_ms)``).
-
-        Mirrors ``Looper.setMessageLogging``; multiple printers may be
-        installed (Hang Doctor plus e.g. a baseline under comparison).
-        Pass ``None`` to clear all printers.
-        """
-        if printer is None:
-            self._printers.clear()
-        else:
-            self._printers.append(printer)
 
     def post(self, message):
         """Enqueue a message."""
@@ -76,10 +61,6 @@ class Looper:
     def pending(self):
         """Number of queued messages."""
         return len(self._queue)
-
-    def _log(self, line, time_ms):
-        for printer in self._printers:
-            printer(line, time_ms)
 
     def dispatch_next(self, handler, now_ms):
         """Dequeue and process one message.
@@ -92,16 +73,9 @@ class Looper:
             return None
         message = self._queue.popleft()
         dispatch_ms = max(now_ms, message.enqueue_ms)
-        # Build the Android-style log lines only when a printer is
-        # actually installed — the engine's private loopers have none.
-        printers = self._printers
-        if printers:
-            self._log(f"{DISPATCH_PREFIX}{message.target}", dispatch_ms)
         finish_ms = handler(message, dispatch_ms)
         if finish_ms < dispatch_ms:
             raise ValueError("handler returned a finish time before dispatch")
-        if printers:
-            self._log(f"{FINISH_PREFIX}{message.target}", finish_ms)
         return DispatchRecord(
             message=message, dispatch_ms=dispatch_ms, finish_ms=finish_ms
         )

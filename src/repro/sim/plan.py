@@ -69,40 +69,23 @@ class ActionPlan:
     """Statics of one (app, action) pair, grouped per input event."""
 
     __slots__ = (
-        "app", "action", "handler_frame", "events", "ops_by_event",
-        "op_count", "has_network",
+        "app", "action", "events", "op_count", "has_network",
     )
 
     def __init__(self, app, action, environment):
         self.app = app
         self.action = action
-        self.handler_frame = action.handler_frame(app.package)
+        handler_frame = action.handler_frame(app.package)
         self.events = tuple(
             tuple(
-                OpPlan(op, app.package, self.handler_frame, environment)
+                OpPlan(op, app.package, handler_frame, environment)
                 for op in event_spec.operations
             )
             for event_spec in action.events
         )
-        # Input-event specs are looked up by identity: the engine posts
-        # the spec objects themselves to the looper.
-        self.ops_by_event = {
-            id(spec): ops for spec, ops in zip(action.events, self.events)
-        }
         self.op_count = sum(len(ops) for ops in self.events)
         self.has_network = any(
             plan.network_bytes > 0 and not plan.on_worker
             for ops in self.events
             for plan in ops
         )
-
-    def ops_for(self, event_spec, package, environment):
-        """Op plans for *event_spec* (built ad hoc for foreign specs,
-        e.g. messages pre-posted on a caller-supplied looper)."""
-        ops = self.ops_by_event.get(id(event_spec))
-        if ops is None:
-            ops = tuple(
-                OpPlan(op, package, self.handler_frame, environment)
-                for op in event_spec.operations
-            )
-        return ops

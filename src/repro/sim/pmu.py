@@ -40,17 +40,6 @@ class PmuSampler:
         self._reads = 0
 
     @property
-    def kernel_only(self):
-        """True when every counted event is a kernel software event.
-
-        Kernel-only samplers pair with a lazily-restricted
-        :class:`~repro.sim.counters.CounterModel`: readings are exact
-        (no multiplexing) and no noise streams are ever created — the
-        configuration Hang Doctor's three-event filter runs in.
-        """
-        return self._pmu_count == 0
-
-    @property
     def multiplex_factor(self):
         """How many events share each register (1.0 = no multiplexing)."""
         if self._pmu_count <= self.device.pmu_registers:

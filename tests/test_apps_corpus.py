@@ -86,12 +86,6 @@ def test_fleet_sessions_count(k9):
     assert all(len(session) == 10 for session in sessions)
 
 
-def test_coverage_session_touches_every_action(k9):
-    session = SessionGenerator(seed=0).coverage_session(k9, repeats=2)
-    for action in k9.actions:
-        assert session.action_names.count(action.name) == 2
-
-
 def test_wellknown_clean_apps_have_no_bugs():
     from repro.apps.wellknown import WELLKNOWN_CLEAN_APPS
 

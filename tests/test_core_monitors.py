@@ -1,75 +1,10 @@
-"""Tests for the response-time and performance-event monitors."""
+"""Tests for the performance-event monitor and the app injector."""
 
 import pytest
 
 from repro.core.config import HangDoctorConfig
 from repro.core.event_monitor import PerformanceEventMonitor
 from repro.core.injector import AppInjector
-from repro.core.response_monitor import ResponseTimeMonitor
-from repro.sim.looper import DISPATCH_PREFIX, FINISH_PREFIX, Looper, Message
-from repro.sim.timeline import MAIN_THREAD
-
-
-# --- ResponseTimeMonitor ---------------------------------------------------
-
-
-def test_monitor_measures_between_logging_calls():
-    monitor = ResponseTimeMonitor()
-    monitor.printer(f"{DISPATCH_PREFIX}click", 100.0)
-    monitor.printer(f"{FINISH_PREFIX}click", 340.0)
-    assert monitor.response_times() == [240.0]
-
-
-def test_monitor_max_response_time():
-    monitor = ResponseTimeMonitor()
-    for target, start, end in (("a", 0, 50), ("b", 60, 400)):
-        monitor.printer(f"{DISPATCH_PREFIX}{target}", start)
-        monitor.printer(f"{FINISH_PREFIX}{target}", end)
-    assert monitor.max_response_time() == 340.0
-
-
-def test_monitor_hangs_filter():
-    monitor = ResponseTimeMonitor()
-    for target, start, end in (("a", 0, 50), ("b", 60, 400)):
-        monitor.printer(f"{DISPATCH_PREFIX}{target}", start)
-        monitor.printer(f"{FINISH_PREFIX}{target}", end)
-    hangs = monitor.hangs(threshold_ms=100.0)
-    assert [h.target for h in hangs] == ["b"]
-
-
-def test_monitor_rejects_mismatched_finish():
-    monitor = ResponseTimeMonitor()
-    monitor.printer(f"{DISPATCH_PREFIX}a", 0.0)
-    with pytest.raises(ValueError):
-        monitor.printer(f"{FINISH_PREFIX}b", 10.0)
-
-
-def test_monitor_rejects_nested_dispatch():
-    monitor = ResponseTimeMonitor()
-    monitor.printer(f"{DISPATCH_PREFIX}a", 0.0)
-    with pytest.raises(ValueError):
-        monitor.printer(f"{DISPATCH_PREFIX}b", 5.0)
-
-
-def test_monitor_rejects_garbage_line():
-    with pytest.raises(ValueError):
-        ResponseTimeMonitor().printer("hello", 0.0)
-
-
-def test_monitor_reset():
-    monitor = ResponseTimeMonitor()
-    monitor.printer(f"{DISPATCH_PREFIX}a", 0.0)
-    monitor.reset()
-    assert monitor.max_response_time() == 0.0
-    monitor.printer(f"{DISPATCH_PREFIX}b", 0.0)  # no error: state cleared
-
-
-def test_monitor_attach_to_looper():
-    looper = Looper()
-    monitor = ResponseTimeMonitor().attach(looper)
-    looper.post(Message(target="tap", payload=None, enqueue_ms=0.0))
-    looper.dispatch_all(lambda m, t: t + 120.0, 0.0)
-    assert monitor.response_times() == [120.0]
 
 
 # --- PerformanceEventMonitor ------------------------------------------------
@@ -96,13 +31,6 @@ def test_event_monitor_accumulates_cost(engine, k9):
     assert monitor.monitored_ms == pytest.approx(
         execution.end_ms - execution.start_ms
     )
-
-
-def test_event_monitor_thread_totals(engine, k9):
-    monitor = PerformanceEventMonitor(engine.device, ("task-clock",))
-    execution = engine.run_action(k9, k9.action("folders"))
-    totals = monitor.read_thread_totals(execution, MAIN_THREAD)
-    assert totals["task-clock"] > 0
 
 
 # --- AppInjector -------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.crowd import (
     ReportBatch,
     aggregator_from_json,
     aggregator_to_json,
+    batch_to_dict,
     load_aggregator,
 )
 from repro.detectors.runner import run_detector
@@ -108,10 +109,10 @@ def test_bug_stats_dedupe_across_devices():
     """The same root cause from many devices folds into one stat."""
     aggregator = CrowdAggregator()
     for device in range(4):
-        aggregator.ingest_report(
+        aggregator.ingest(ReportBatch.from_report(
             make_report(device_tag=0), device_id=device,
             time_ms=float(device),
-        )
+        ))
     stats = aggregator.bug_stats()
     assert len(stats) == 3  # 3 distinct root causes, not 12
     top = stats[0]
@@ -121,15 +122,6 @@ def test_bug_stats_dedupe_across_devices():
     assert stats == sorted(
         stats, key=lambda s: (-s.hang_count, s.signature)
     )
-
-
-def test_shard_of_is_stable_partition():
-    ids = [batch.batch_id for batch in make_batches(8)]
-    shards = [CrowdAggregator.shard_of(batch_id, 3) for batch_id in ids]
-    assert shards == [CrowdAggregator.shard_of(i, 3) for i in ids]
-    assert all(0 <= shard < 3 for shard in shards)
-    with pytest.raises(ValueError):
-        CrowdAggregator.shard_of("x", 0)
 
 
 # ------------------------------------------------------------ signature
@@ -177,10 +169,10 @@ def test_signature_distinguishes_occurrence_buckets():
 def test_knowledge_picks_dominant_bug_per_action():
     aggregator = CrowdAggregator()
     for device in range(3):
-        aggregator.ingest_report(
+        aggregator.ingest(ReportBatch.from_report(
             make_report(device_tag=0), device_id=device,
             time_ms=float(device),
-        )
+        ))
     knowledge = aggregator.knowledge(min_devices=2)
     assert len(knowledge) == 3
     known = knowledge.lookup("K9-mail", "action-0")
@@ -193,8 +185,8 @@ def test_knowledge_picks_dominant_bug_per_action():
 
 def test_publish_database_excludes_self_developed():
     aggregator = CrowdAggregator()
-    aggregator.ingest_report(make_report(device_tag=0), device_id=0,
-                             time_ms=0.0)
+    aggregator.ingest(ReportBatch.from_report(make_report(device_tag=0),
+                                              device_id=0, time_ms=0.0))
     published = aggregator.publish_database()
     baseline = BlockingApiDatabase.initial()
     added = set(published.names()) - baseline.names()
@@ -261,6 +253,36 @@ def test_load_aggregator_never_raises():
     assert not loaded.recovered_from_corruption
 
 
+def test_upload_body_carries_only_anonymized_bug_fields(device, k9):
+    """What a device sends: the HTTP body, the WAL record and the
+    snapshot are all ``batch_to_dict``.  Per bug it carries the
+    root-cause signature, the action's name, the blamed operation and
+    its source location, and hang statistics (paper §3.2); no content,
+    no stack, and no identifier beyond an opaque device id."""
+    engine = ExecutionEngine(device, seed=21)
+    doctor = HangDoctor(k9, device, seed=21)
+    for _ in range(40):
+        execution = engine.run_action(k9, k9.action("open_email"))
+        if doctor.process(execution).detections:
+            break
+    body = batch_to_dict(ReportBatch.from_report(doctor.report, device_id=7,
+                                                 time_ms=0.0))
+    assert set(body) == {"batch_id", "app", "device", "time_ms",
+                         "observations"}
+    assert body["device"] == 7
+    assert body["observations"]
+    for observation in body["observations"]:
+        assert set(observation) == {
+            "signature", "action", "operation", "file", "line",
+            "self_developed", "occurrences", "total_hang_ms",
+            "max_occurrence_factor",
+        }
+    assert [observation["operation"]
+            for observation in body["observations"]] == [
+        "org.htmlcleaner.HtmlCleaner.clean"
+    ]
+
+
 # --------------------------------------------------- device short-circuit
 
 
@@ -278,7 +300,8 @@ def test_hang_doctor_short_circuits_known_bugs(device, k9):
     # Publish the cold device's diagnoses, then replay the identical
     # deployment on a warm device.
     aggregator = CrowdAggregator()
-    aggregator.ingest_report(cold.report, device_id=0, time_ms=0.0)
+    aggregator.ingest(ReportBatch.from_report(cold.report, device_id=0,
+                                              time_ms=0.0))
     knowledge = aggregator.knowledge()
     assert len(knowledge) > 0
     warm_engine = ExecutionEngine(device, seed=11)

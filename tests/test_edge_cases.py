@@ -2,24 +2,11 @@
 
 import pytest
 
-from repro.core.persistence import detection_to_record
-from repro.detectors.base import Detection
 from repro.harness.exp_fleet import Table6Result, Table6Row
 from repro.harness.tables import render_table
 from repro.sim.device import NEXUS_5
 from repro.sim.pmu import PmuSampler
 from repro.sim.timeline import MAIN_THREAD, Segment, Timeline
-
-
-def test_detection_record_with_no_root():
-    detection = Detection(
-        detector="T", app_name="A", action_name="a", time_ms=0.0,
-        response_time_ms=150.0, root=None,
-    )
-    record = detection_to_record(detection)
-    assert record["operation"] is None
-    assert record["file"] is None
-    assert record["line"] is None
 
 
 def test_table6_render_reports_undetected():

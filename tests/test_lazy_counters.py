@@ -21,7 +21,6 @@ from repro.sim.counters import (
     PMU_EVENTS,
 )
 from repro.sim.engine import ExecutionEngine
-from repro.sim.pmu import PmuSampler
 from repro.sim.timeline import MAIN_THREAD
 
 NEUTRAL_UARCH = {"ipc": 1.0, "cache": 1.0, "branch": 1.0, "tlb": 1.0,
@@ -67,11 +66,6 @@ def test_kernel_values_match_full_model_draw_order(device):
     full = _counts(device, None, key="same")
     kernel = _counts(device, KERNEL_EVENTS, key="same")
     assert kernel == {event: full[event] for event in KERNEL_EVENTS}
-
-
-def test_pmu_sampler_kernel_only_flag(device):
-    assert PmuSampler(device, FILTER_EVENTS).kernel_only
-    assert not PmuSampler(device, FILTER_EVENTS + ("cpu-cycles",)).kernel_only
 
 
 def test_engine_with_filter_events_still_detects_hangs(device, k9):

@@ -1,5 +1,5 @@
-"""Tests for repro.core.persistence (JSON round-trips, merging, and
-recovery from malformed state files)."""
+"""Tests for repro.core.persistence (JSON round-trips and recovery from
+malformed state files)."""
 
 import json
 
@@ -9,10 +9,8 @@ from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.persistence import (
     database_from_json,
     database_to_json,
-    detection_to_record,
     load_database,
     load_report,
-    merge_reports,
     report_from_json,
     report_to_json,
 )
@@ -126,32 +124,6 @@ def test_load_report_through_fault_injector():
     assert injector.fired_total() == 1
 
 
-def test_merge_reports_sums_occurrences():
-    merged = merge_reports([
-        make_report(device=0, occurrences=3),
-        make_report(device=1, occurrences=2),
-    ])
-    entry = merged.entries()[0]
-    assert entry.occurrences == 5
-    assert entry.devices == {0, 1}
-
-
-def test_merge_reports_rejects_mixed_apps():
-    with pytest.raises(ValueError):
-        merge_reports([make_report("A"), make_report("B")])
-
-
-def test_merge_reports_explicit_name():
-    merged = merge_reports([make_report("A"), make_report("B")],
-                           app_name="Fleet")
-    assert merged.app_name == "Fleet"
-
-
-def test_merge_requires_input():
-    with pytest.raises(ValueError):
-        merge_reports([])
-
-
 def test_database_roundtrip():
     db = BlockingApiDatabase.initial()
     db.add("org.htmlcleaner.HtmlCleaner.clean")
@@ -165,15 +137,6 @@ def test_database_schema_check():
     payload["schema"] = 0
     with pytest.raises(ValueError):
         database_from_json(json.dumps(payload))
-
-
-def test_merge_reports_carries_degradations_and_recovery():
-    part_a = make_report(device=0)
-    part_a.note_degradation("timeout-only", detail="counters lost")
-    part_b = load_report("corrupt{", "K9-mail")
-    merged = merge_reports([part_a, part_b])
-    assert [record.kind for record in merged.degradations] == ["timeout-only"]
-    assert merged.recovered_from_corruption
 
 
 def test_database_invalid_json_raises_valueerror():
@@ -205,31 +168,6 @@ def test_load_database_recovers_to_shipped_initial():
     # the last good write are lost.
     assert recovered.names() == BlockingApiDatabase.initial().names()
     assert recovered.runtime_discoveries() == []
-
-
-def test_detection_record_is_anonymized(device, k9):
-    """The telemetry record carries only the fields the paper's
-    privacy note allows — no action names, no payloads."""
-    from repro.core.hang_doctor import HangDoctor
-    from repro.sim.engine import ExecutionEngine
-
-    engine = ExecutionEngine(device, seed=21)
-    doctor = HangDoctor(k9, device, seed=21)
-    record = None
-    for _ in range(40):
-        outcome = doctor.process(
-            engine.run_action(k9, k9.action("open_email"))
-        )
-        if outcome.detections:
-            record = detection_to_record(outcome.detections[0], device_id=7)
-            break
-    assert record is not None
-    assert set(record) == {
-        "operation", "file", "line", "self_developed",
-        "response_time_ms", "occurrence_factor", "device",
-    }
-    assert record["operation"] == "org.htmlcleaner.HtmlCleaner.clean"
-    assert record["device"] == 7
 
 
 # ------------------------------------------------- crash-atomic writes

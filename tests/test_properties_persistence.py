@@ -6,7 +6,6 @@ from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.persistence import (
     database_from_json,
     database_to_json,
-    merge_reports,
     report_from_json,
     report_to_json,
 )
@@ -47,23 +46,6 @@ def test_report_roundtrip_preserves_everything(records):
         assert before.occurrences == after.occurrences
         assert before.devices == after.devices
         assert before.total_hang_ms == after.total_hang_ms
-
-
-@given(st.lists(record_strategy, min_size=1, max_size=10),
-       st.lists(record_strategy, min_size=1, max_size=10))
-@settings(max_examples=50)
-def test_merge_is_occurrence_additive(first, second):
-    merged = merge_reports([build_report(first), build_report(second)])
-    assert merged.total_occurrences() == len(first) + len(second)
-
-
-@given(st.lists(record_strategy, min_size=1, max_size=10))
-@settings(max_examples=30)
-def test_merge_with_empty_is_identity(records):
-    report = build_report(records)
-    merged = merge_reports([report, HangBugReport("App")])
-    assert merged.total_occurrences() == report.total_occurrences()
-    assert len(merged) == len(report)
 
 
 @given(st.sets(st.sampled_from([

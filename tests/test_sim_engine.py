@@ -6,9 +6,7 @@ from repro.apps import android_apis as apis
 from repro.apps.app import AppSpec
 from repro.apps.catalog_helpers import action, op
 from repro.base.rng import stream
-from repro.core.response_monitor import ResponseTimeMonitor
 from repro.sim.engine import ExecutionEngine, PERCEIVABLE_DELAY_MS
-from repro.sim.looper import Looper
 from repro.sim.timeline import MAIN_THREAD, RENDER_THREAD, WORKER_THREAD
 
 from tests.helpers import run_until
@@ -110,18 +108,6 @@ def test_worker_offload_runs_on_worker_thread(device, camera_app):
 def test_run_session_advances_clock(engine, k9):
     executions = engine.run_session(k9, ["folders", "inbox"], gap_ms=500.0)
     assert executions[1].start_ms >= executions[0].end_ms + 500.0
-
-
-def test_custom_looper_sees_dispatch_events(device, k9):
-    engine = ExecutionEngine(device, seed=3)
-    looper = Looper()
-    monitor = ResponseTimeMonitor().attach(looper)
-    execution = engine.run_action(k9, k9.action("open_email"), looper=looper)
-    assert len(monitor.timings) == len(execution.events)
-    for timing, event in zip(monitor.timings, execution.events):
-        assert timing.response_time_ms == pytest.approx(
-            event.response_time_ms
-        )
 
 
 def test_counter_difference_matches_timeline(engine, k9):

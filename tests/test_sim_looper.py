@@ -1,14 +1,8 @@
-"""Tests for repro.sim.looper (message queue + logging hooks)."""
+"""Tests for repro.sim.looper (the main-thread message queue)."""
 
 import pytest
 
-from repro.sim.looper import (
-    DISPATCH_PREFIX,
-    DispatchRecord,
-    FINISH_PREFIX,
-    Looper,
-    Message,
-)
+from repro.sim.looper import DispatchRecord, Looper, Message
 
 
 def msg(target="ev", enqueue=0.0):
@@ -64,39 +58,6 @@ def test_handler_cannot_finish_before_dispatch():
     looper.post(msg())
     with pytest.raises(ValueError):
         looper.dispatch_next(lambda m, t: t - 1.0, 10.0)
-
-
-def test_logging_lines_and_timestamps():
-    looper = Looper()
-    looper.post(msg("click"))
-    lines = []
-    looper.set_message_logging(lambda line, t: lines.append((line, t)))
-    looper.dispatch_all(lambda m, t: t + 25.0, 0.0)
-    assert lines == [
-        (f"{DISPATCH_PREFIX}click", 0.0),
-        (f"{FINISH_PREFIX}click", 25.0),
-    ]
-
-
-def test_multiple_printers_all_called():
-    looper = Looper()
-    looper.post(msg())
-    first, second = [], []
-    looper.set_message_logging(lambda line, t: first.append(line))
-    looper.set_message_logging(lambda line, t: second.append(line))
-    looper.dispatch_all(lambda m, t: t + 1.0, 0.0)
-    assert len(first) == 2
-    assert len(second) == 2
-
-
-def test_none_clears_printers():
-    looper = Looper()
-    looper.post(msg())
-    lines = []
-    looper.set_message_logging(lambda line, t: lines.append(line))
-    looper.set_message_logging(None)
-    looper.dispatch_all(lambda m, t: t + 1.0, 0.0)
-    assert lines == []
 
 
 def test_dispatch_all_chains_clock():
