@@ -162,16 +162,6 @@ class ApiSpec:
         return f"{self.clazz}.{self.name}"
 
     @property
-    def call_site_name(self):
-        """Method name visible at the call site in app source."""
-        return self.entry_name if self.entry_name is not None else self.name
-
-    @property
-    def call_site_class(self):
-        """Class visible at the call site in app source."""
-        return self.entry_clazz if self.entry_clazz is not None else self.clazz
-
-    @property
     def is_ui(self):
         """True for operations that must stay on the main thread."""
         return self.kind is ApiKind.UI

@@ -23,8 +23,9 @@ Safety properties:
   parameter (seed, apps, rates, device, ...) mismatches the key and
   the journal resets instead of serving stale items.
 * **Corruption tolerance**: an unreadable or mislabeled entry is
-  treated as missing (its items re-run), mirroring the
-  ``load_report``/``load_database`` never-raise contract.
+  treated as missing (its items re-run), mirroring the never-raise
+  contract of :func:`repro.core.report.load_report` and
+  :func:`repro.crowd.store.load_aggregator`.
 * **Best-effort writes**: a failed checkpoint write degrades (the
   shard's items re-run on resume) rather than crashing the sweep;
   failures are accounted in the :class:`~repro.parallel.ExecutionReport`.

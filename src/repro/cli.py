@@ -263,11 +263,14 @@ def cmd_serve(args):
     import asyncio
     import signal
 
-    from repro.faults import FaultInjector, FaultPlan
     from repro.serve import IngestService
 
     faults = None
     if args.torn_write_rate > 0.0:
+        # Only this branch loads the fault injector, which draws from
+        # numpy; the service itself never does.
+        from repro.faults import FaultInjector, FaultPlan
+
         faults = FaultInjector(
             FaultPlan(torn_write_rate=args.torn_write_rate),
             seed=args.seed, scope=("serve",),

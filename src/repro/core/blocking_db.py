@@ -18,9 +18,6 @@ class BlockingApiDatabase:
     def __init__(self, names=None):
         self._names = set(names) if names is not None else set()
         self._added_at_runtime = []
-        #: True when this database was rebuilt from the shipped initial
-        #: list because the persisted copy was corrupt.
-        self.recovered_from_corruption = False
 
     @classmethod
     def initial(cls):
@@ -54,10 +51,9 @@ class BlockingApiDatabase:
     def sorted_names(self):
         """All known names in the database's canonical (sorted) order.
 
-        This is the iteration/serialization order: crowd publishing and
-        local saves both emit it, so two databases with equal contents
-        always serialize byte-identically regardless of insertion
-        history.
+        This is the iteration order crowd publishing emits, so two
+        databases with equal contents always list identically
+        regardless of insertion history.
         """
         return sorted(self._names)
 

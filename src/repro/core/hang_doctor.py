@@ -30,6 +30,7 @@ the Hang Bug Report; no injected fault ever raises out of
 :meth:`process`.
 """
 
+from repro.base.frames import Frame
 from repro.base.rng import SeededBackoff
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.config import HangDoctorConfig
@@ -47,6 +48,15 @@ from repro.faults import (
 )
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import current as telemetry
+
+
+def known_bug_frame(known):
+    """The root-cause frame of a crowd
+    :class:`~repro.crowd.aggregator.KnownBug`, as the Diagnoser would
+    have blamed it had the device traced the hang itself."""
+    clazz, _, method = known.operation.rpartition(".")
+    return Frame(clazz=clazz, method=method, file=known.file,
+                 line=known.line)
 
 
 class HangDoctor(Detector):
@@ -317,7 +327,7 @@ class HangDoctor(Detector):
                 action_name=execution.action.name,
                 time_ms=execution.end_ms,
                 response_time_ms=execution.response_time_ms,
-                root=known.root_frame(),
+                root=known_bug_frame(known),
                 occurrence=known.occurrence,
                 root_is_ui=False,
                 is_self_developed=known.is_self_developed,

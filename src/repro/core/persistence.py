@@ -1,44 +1,34 @@
-"""Persistence: reports, the blocking-API database, and durable writes.
+"""Durable writes: the repo's one durable-write module.
 
-JSON round-trips for the Hang Bug Report and the blocking-API database,
-so state survives app restarts and database upgrades can be shipped to
-devices.  What a device sends out is not defined here.  The paper's
-privacy stance (§3.2), "all the anonymized data sent out from the user
-devices only include those blocking operations that have caused a soft
-hang", applies to the crowd upload body,
-:func:`repro.crowd.store.batch_to_dict`.  Per bug it carries the
-root-cause signature, the action's name, the blamed operation and its
-source location, and hang statistics; no content, no stack, and no
-identifier beyond an opaque device id.
+Every whole-file state write goes through :func:`atomic_write_text` /
+:func:`atomic_write_bytes` (temp file + ``fsync`` + ``os.replace`` +
+directory ``fsync``), so a crash mid-write can only ever lose the
+*new* state — the destination either holds the complete old payload
+or the complete new one, never a torn mixture.  Every append-only log
+(the serve WAL, the checkpoint's reassignment log) is an
+:class:`AppendLog`: checksum-framed records, a damaged tail cut on
+open.  The ``torn_write`` fault channel
+(:class:`~repro.faults.FaultPlan.torn_write_rate`) simulates dying
+mid-write to prove both.
 
-Robustness contract: the ``*_from_json`` parsers validate payloads and
-raise one clear :class:`ValueError` naming the offending key on any
-malformed input (never a bare ``KeyError``/``TypeError``), and the
-:func:`load_report` / :func:`load_database` entry points never raise
-at all — a corrupt or truncated state file (crash mid-write) falls
+Reading is the dual half of that contract.  The state codecs
+(:func:`repro.core.report.report_from_json`,
+:func:`repro.crowd.store.aggregator_from_json`) share
+:data:`SCHEMA_VERSION` and :func:`_field`: a parser raises one clear
+:class:`ValueError` naming the offending key on any malformed input
+(never a bare ``KeyError``/``TypeError``), and each ``load_*`` entry
+point never raises at all — a corrupt or truncated state file falls
 back to fresh state with ``recovered_from_corruption`` set, because
 on-device monitoring must survive its own persistence failing.
 
-Writing is the dual half of that contract, and this module is the
-repo's one durable-write module.  Every whole-file state write goes
-through :func:`atomic_write_text` / :func:`atomic_write_bytes` (temp
-file + ``fsync`` + ``os.replace`` + directory ``fsync``), so a crash
-mid-write can only ever lose the *new* state — the destination either
-holds the complete old payload or the complete new one, never a torn
-mixture.  Every append-only log (the serve WAL, the checkpoint's
-reassignment log) is an :class:`AppendLog`: checksum-framed records,
-a damaged tail cut on open.  The ``torn_write`` fault channel
-(:class:`~repro.faults.FaultPlan.torn_write_rate`) simulates dying
-mid-write to prove both.
+At module level this module imports only the standard library, so the
+ingestion service's durable writes load no simulator or catalog code.
 """
 
 import hashlib
 import json
 import os
 import pathlib
-
-from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.report import DegradationRecord, HangBugReport, ReportEntry
 
 #: Wire-format version for forward compatibility.
 SCHEMA_VERSION = 1
@@ -256,16 +246,6 @@ class AppendLog:
         return records, end, len(data)
 
 
-def save_report(path, report, faults=None):
-    """Crash-atomically persist a Hang Bug Report to *path*."""
-    atomic_write_text(path, report_to_json(report), faults=faults)
-
-
-def save_database(path, db, faults=None):
-    """Crash-atomically persist a blocking-API database to *path*."""
-    atomic_write_text(path, database_to_json(db), faults=faults)
-
-
 def _field(mapping, key, context):
     """Fetch a required *key*, raising a named ValueError when absent."""
     if not isinstance(mapping, dict):
@@ -276,146 +256,3 @@ def _field(mapping, key, context):
     if key not in mapping:
         raise ValueError(f"malformed {context}: missing required key {key!r}")
     return mapping[key]
-
-
-def report_to_json(report):
-    """Serialize a Hang Bug Report."""
-    entries = []
-    for entry in report.entries():
-        entries.append({
-            "operation": entry.operation,
-            "action": entry.action,
-            "file": entry.file,
-            "line": entry.line,
-            "self_developed": entry.is_self_developed,
-            "occurrences": entry.occurrences,
-            "devices": sorted(entry.devices),
-            "total_hang_ms": entry.total_hang_ms,
-            "max_occurrence_factor": entry.max_occurrence_factor,
-        })
-    return json.dumps({
-        "schema": SCHEMA_VERSION,
-        "app": report.app_name,
-        "entries": entries,
-        "degradations": [
-            {"kind": record.kind, "detail": record.detail,
-             "time_ms": record.time_ms}
-            for record in report.degradations
-        ],
-    }, indent=2)
-
-
-def report_from_json(text):
-    """Rebuild a Hang Bug Report from its JSON form.
-
-    Raises ValueError (naming the offending key) on malformed
-    payloads: wrong schema, missing fields, or non-object entries.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"malformed report payload: {error}") from error
-    if not isinstance(payload, dict):
-        raise ValueError("malformed report payload: expected an object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report schema {payload.get('schema')!r}"
-        )
-    report = HangBugReport(_field(payload, "app", "report payload"))
-    for raw in _field(payload, "entries", "report payload"):
-        entry = ReportEntry(
-            operation=_field(raw, "operation", "report entry"),
-            file=_field(raw, "file", "report entry"),
-            line=_field(raw, "line", "report entry"),
-            is_self_developed=_field(raw, "self_developed", "report entry"),
-            occurrences=_field(raw, "occurrences", "report entry"),
-            devices=set(_field(raw, "devices", "report entry")),
-            total_hang_ms=_field(raw, "total_hang_ms", "report entry"),
-            max_occurrence_factor=_field(
-                raw, "max_occurrence_factor", "report entry"
-            ),
-            # Optional for pre-crowd payloads, which had no action.
-            action=raw.get("action", ""),
-        )
-        key = (entry.action, entry.operation, entry.file, entry.line)
-        report._entries[key] = entry
-    for raw in payload.get("degradations", []):
-        report.degradations.append(DegradationRecord(
-            kind=_field(raw, "kind", "degradation record"),
-            detail=raw.get("detail", ""),
-            time_ms=raw.get("time_ms", 0.0),
-        ))
-    return report
-
-
-def load_report(text, app_name, faults=None):
-    """Load a persisted report; never raises.
-
-    A :class:`~repro.faults.FaultInjector` may corrupt the payload
-    first (modeling a crash mid-write).  A payload that fails to parse
-    or validate yields a *fresh* report for *app_name* with
-    ``recovered_from_corruption`` set — losing history is recoverable,
-    crashing the host app is not.
-    """
-    if faults is not None:
-        text = faults.corrupt_text(text)
-    try:
-        return report_from_json(text)
-    except ValueError:
-        report = HangBugReport(app_name)
-        report.recovered_from_corruption = True
-        return report
-
-
-def database_to_json(db):
-    """Serialize a blocking-API database (the shippable upgrade)."""
-    return json.dumps({
-        "schema": SCHEMA_VERSION,
-        "names": db.sorted_names(),
-        "runtime_discoveries": db.runtime_discoveries(),
-    }, indent=2)
-
-
-def database_from_json(text):
-    """Rebuild a blocking-API database.
-
-    Raises ValueError (naming the offending key) on malformed
-    payloads.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"malformed database payload: {error}") from error
-    if not isinstance(payload, dict):
-        raise ValueError("malformed database payload: expected an object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported database schema {payload.get('schema')!r}"
-        )
-    names = _field(payload, "names", "database payload")
-    if not isinstance(names, list):
-        raise ValueError(
-            "malformed database payload: key 'names' must be a list"
-        )
-    db = BlockingApiDatabase(names)
-    db._added_at_runtime = list(payload.get("runtime_discoveries", []))
-    return db
-
-
-def load_database(text, faults=None):
-    """Load a persisted blocking-API database; never raises.
-
-    Falls back to the shipped initial database (see
-    :meth:`BlockingApiDatabase.initial`) with
-    ``recovered_from_corruption`` set when the payload is corrupt —
-    the curated list is recoverable expert knowledge, only the runtime
-    discoveries since the last good write are lost.
-    """
-    if faults is not None:
-        text = faults.corrupt_text(text)
-    try:
-        return database_from_json(text)
-    except ValueError:
-        db = BlockingApiDatabase.initial()
-        db.recovered_from_corruption = True
-        return db

@@ -7,9 +7,17 @@ the mean hang length, and the share of all bug occurrences it accounts
 for.  Only anonymized blocking-operation records ever leave a user
 device (paper §3.2's privacy note), which is what the entry fields
 reflect.
+
+The report's JSON codecs keep it across app restarts, under the
+robustness contract of :mod:`repro.core.persistence`.  What leaves the
+device is the crowd upload body, :func:`repro.crowd.store.batch_to_dict`:
+no content, no stack, and no identifier beyond an opaque device id.
 """
 
+import json
 from dataclasses import dataclass
+
+from repro.core.persistence import SCHEMA_VERSION, _field
 
 #: Number of occurrence-factor buckets used by root-cause signatures.
 #: Ten deciles: a bug whose occurrence factor drifts a little between
@@ -96,7 +104,7 @@ class HangBugReport:
         #: Graceful-degradation events, in occurrence order.
         self.degradations = []
         #: True when this report was rebuilt fresh because the
-        #: persisted copy was corrupt (see repro.core.persistence).
+        #: persisted copy was corrupt (see :func:`load_report`).
         self.recovered_from_corruption = False
 
     def note_degradation(self, kind, detail="", time_ms=0.0):
@@ -182,3 +190,92 @@ class HangBugReport:
 
     def __len__(self):
         return len(self._entries)
+
+
+def report_to_json(report):
+    """Serialize a Hang Bug Report."""
+    entries = []
+    for entry in report.entries():
+        entries.append({
+            "operation": entry.operation,
+            "action": entry.action,
+            "file": entry.file,
+            "line": entry.line,
+            "self_developed": entry.is_self_developed,
+            "occurrences": entry.occurrences,
+            "devices": sorted(entry.devices),
+            "total_hang_ms": entry.total_hang_ms,
+            "max_occurrence_factor": entry.max_occurrence_factor,
+        })
+    return json.dumps({
+        "schema": SCHEMA_VERSION,
+        "app": report.app_name,
+        "entries": entries,
+        "degradations": [
+            {"kind": record.kind, "detail": record.detail,
+             "time_ms": record.time_ms}
+            for record in report.degradations
+        ],
+    }, indent=2)
+
+
+def report_from_json(text):
+    """Rebuild a Hang Bug Report from its JSON form.
+
+    Raises ValueError (naming the offending key) on malformed
+    payloads: wrong schema, missing fields, or non-object entries.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"malformed report payload: {error}") from error
+    if not isinstance(payload, dict):
+        raise ValueError("malformed report payload: expected an object")
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported report schema {payload.get('schema')!r}"
+        )
+    report = HangBugReport(_field(payload, "app", "report payload"))
+    for raw in _field(payload, "entries", "report payload"):
+        entry = ReportEntry(
+            operation=_field(raw, "operation", "report entry"),
+            file=_field(raw, "file", "report entry"),
+            line=_field(raw, "line", "report entry"),
+            is_self_developed=_field(raw, "self_developed", "report entry"),
+            occurrences=_field(raw, "occurrences", "report entry"),
+            devices=set(_field(raw, "devices", "report entry")),
+            total_hang_ms=_field(raw, "total_hang_ms", "report entry"),
+            max_occurrence_factor=_field(
+                raw, "max_occurrence_factor", "report entry"
+            ),
+            # Optional for pre-crowd payloads, which had no action.
+            action=raw.get("action", ""),
+        )
+        key = (entry.action, entry.operation, entry.file, entry.line)
+        report._entries[key] = entry
+    for raw in payload.get("degradations", []):
+        report.degradations.append(DegradationRecord(
+            kind=_field(raw, "kind", "degradation record"),
+            detail=raw.get("detail", ""),
+            time_ms=raw.get("time_ms", 0.0),
+        ))
+    return report
+
+
+def load_report(text, app_name, faults=None):
+    """Load a persisted report; never raises.
+
+    A :class:`~repro.faults.FaultInjector` may corrupt the payload
+    first (modeling a crash mid-write).  A payload that fails to parse
+    or validate yields a *fresh* report for *app_name* with
+    ``recovered_from_corruption`` set — losing history is recoverable,
+    crashing the host app is not.
+    """
+    if faults is not None:
+        text = faults.corrupt_text(text)
+    try:
+        return report_from_json(text)
+    except ValueError:
+        report = HangBugReport(app_name)
+        report.recovered_from_corruption = True
+        return report

@@ -40,8 +40,6 @@ Ingestion is built to survive a hostile upload path (see
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.base.frames import Frame
-from repro.core.blocking_db import BlockingApiDatabase
 from repro.telemetry import current as telemetry
 
 
@@ -159,18 +157,6 @@ class KnownBug:
     occurrence: float
     device_count: int
     hang_count: int
-
-    def root_frame(self):
-        """The root-cause :class:`~repro.base.frames.Frame`.
-
-        Rebuilt from the qualified operation name (``package.Class.
-        method``) plus the recorded source location — the shape the
-        Diagnoser would have produced had the device traced the hang
-        itself.
-        """
-        clazz, _, method = self.operation.rpartition(".")
-        return Frame(clazz=clazz, method=method, file=self.file,
-                     line=self.line)
 
 
 class CrowdKnowledge:
@@ -370,6 +356,11 @@ class CrowdAggregator:
         are recorded as runtime discoveries: they are exactly what the
         fleet learned at runtime.
         """
+        # Imported here, once per publish round: the shipped database
+        # is built from the API catalog, which the ingestion service
+        # never needs.
+        from repro.core.blocking_db import BlockingApiDatabase
+
         db = BlockingApiDatabase(
             base.names() if base is not None
             else BlockingApiDatabase.initial().names()

@@ -32,6 +32,8 @@ what "never half-applied" means at this layer.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from repro.core.persistence import SCHEMA_VERSION, _field, atomic_write_text
 from repro.crowd.aggregator import BugObservation, CrowdAggregator, ReportBatch
@@ -105,13 +107,66 @@ def batch_from_dict(raw):
 
 
 def aggregator_to_json(aggregator):
-    """Serialize a crowd aggregator (canonical batch order)."""
-    return json.dumps({
+    """Serialize a crowd aggregator (canonical batch order): byte for
+    byte what ``json.dumps(..., indent=2)`` writes for this document."""
+    return _indented_json({
         "schema": CROWD_SCHEMA_VERSION,
         "batches": [
             batch_to_dict(batch) for batch in aggregator.batches()
         ],
-    }, indent=2)
+    })
+
+
+def _float_text(value):
+    """A float as json writes it (json spells NaN and the infinities
+    its own way)."""
+    return float.__repr__(value) if isfinite(value) else json.dumps(value)
+
+
+#: How json writes a value of each exact scalar type.  Keyed by exact
+#: type, so a bool is never written as the int it subclasses.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _indented_json(value, newline="\n"):
+    """``json.dumps(value, indent=2)`` for *value* nested where
+    *newline* starts its lines, written in one pass, without the
+    generator chain of json's pure-Python encoder (which ``indent``
+    selects).
+
+    Plain dicts with string keys, lists and tuples are written here,
+    their scalars with json's own string escaping and ``int``/``float``
+    reprs.  Anything else (a dict with other keys, a subclass, a type
+    json rejects) goes through ``json.dumps`` and is re-indented, so
+    the text is always json's.
+    """
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if kind is dict and value:
+        members = []
+        for key, item in value.items():
+            if type(key) is not str:
+                break
+            scalar = _SCALAR_TEXT.get(type(item))
+            members.append(
+                f"{inner}{encode_basestring_ascii(key)}: "
+                f"{scalar(item) if scalar else _indented_json(item, inner)}"
+            )
+        else:
+            return "{" + ",".join(members) + newline + "}"
+    elif (kind is list or kind is tuple) and value:
+        items = [_indented_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def save_aggregator(path, aggregator, faults=None, label=None):

@@ -52,11 +52,6 @@ class DetectorRun:
         """All detections, in session order."""
         return [d for outcome in self.outcomes for d in outcome.detections]
 
-    @property
-    def traced_count(self):
-        """Number of executions the detector collected traces for."""
-        return sum(1 for outcome in self.outcomes if outcome.traced)
-
     def confusion(self):
         """Figure 8-style traced-hang confusion counts."""
         return traced_confusion(self.executions, self.outcomes)

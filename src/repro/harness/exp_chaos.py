@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.analysis.metrics import ConfusionCounts, detected_bug_sites
 from repro.apps.catalog import get_app
 from repro.apps.sessions import SessionGenerator
-from repro.core.persistence import load_report, report_to_json
+from repro.core.report import load_report, report_to_json
 from repro.faults import FaultPlan
 from repro.harness.exp_comparison import FIGURE8_APPS
 from repro.harness.exp_fleet import deploy, fleet_app_seed

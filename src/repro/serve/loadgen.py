@@ -34,7 +34,7 @@ from typing import List, Optional
 from repro.base.rng import stream, substream_seed
 from repro.crowd.aggregator import BugObservation, CrowdAggregator, ReportBatch
 from repro.crowd.store import aggregator_to_json
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.serve.client import ClientStats, DeliveryError, ServeClient
 from repro.serve.service import IngestService
 
@@ -237,6 +237,10 @@ async def drive_fleet(host, port, fleet, seed=0, plan=None, concurrency=16,
     concurrency and scheduling.
     """
     plan = plan if plan is not None else FaultPlan()
+    if plan.any_faults:
+        # Imported only when faults are injected: the injector draws
+        # from numpy.
+        from repro.faults import FaultInjector
     semaphore = asyncio.Semaphore(concurrency)
     total = ClientStats()
     undelivered = []

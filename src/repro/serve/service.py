@@ -526,6 +526,8 @@ class IngestService:
             lines.append("Connection: close")
         for name, value in headers.items():
             lines.append(f"{name}: {value}")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
+        # One write per reply, so head and body leave in one send.
+        writer.write(
+            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        )
         await writer.drain()

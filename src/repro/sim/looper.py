@@ -58,10 +58,6 @@ class Looper:
         """Enqueue a message."""
         self._queue.append(message)
 
-    def pending(self):
-        """Number of queued messages."""
-        return len(self._queue)
-
     def dispatch_next(self, handler, now_ms):
         """Dequeue and process one message.
 

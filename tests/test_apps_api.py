@@ -78,23 +78,6 @@ def test_entry_fields_must_be_paired():
                 entry_name="facade")
 
 
-def test_call_site_defaults_to_leaf():
-    api = blocking_api("query", "android.database.sqlite.SQLiteDatabase",
-                       mean_ms=200.0)
-    assert api.call_site_name == "query"
-    assert api.call_site_class == "android.database.sqlite.SQLiteDatabase"
-
-
-def test_call_site_uses_facade_when_wrapped():
-    api = blocking_api(
-        "insertWithOnConflict", "android.database.sqlite.SQLiteDatabase",
-        mean_ms=300.0, entry_name="get",
-        entry_clazz="nl.qbusict.cupboard.Cupboard",
-    )
-    assert api.call_site_name == "get"
-    assert api.call_site_class == "nl.qbusict.cupboard.Cupboard"
-
-
 def test_api_frames_without_facade():
     api = blocking_api("read", "java.io.FileInputStream", mean_ms=200.0)
     frames = api.api_frames()

@@ -16,12 +16,13 @@ import pytest
 
 from repro.cli import main
 from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.hang_doctor import HangDoctor
-from repro.core.persistence import report_from_json, report_to_json
+from repro.core.hang_doctor import HangDoctor, known_bug_frame
 from repro.core.report import (
     OCCURRENCE_BUCKETS,
     HangBugReport,
     occurrence_bucket,
+    report_from_json,
+    report_to_json,
 )
 from repro.core.states import ActionState
 from repro.crowd import (
@@ -206,7 +207,7 @@ def test_known_bug_root_frame_rebuilds_qualified_name():
         file="Klass.java", line=7, is_self_developed=False,
         occurrence=0.5, device_count=1, hang_count=1,
     )
-    frame = bug.root_frame()
+    frame = known_bug_frame(bug)
     assert frame.qualified_name == "org.pkg.Klass.method"
     assert frame.line == 7
 

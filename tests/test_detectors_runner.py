@@ -74,9 +74,3 @@ def test_detections_flattened(engine, k9):
     assert len(run.detections) == sum(
         len(o.detections) for o in run.outcomes
     )
-
-
-def test_traced_count(engine, k9):
-    executions = engine.run_session(k9, ["folders"] * 5, gap_ms=500.0)
-    run = run_detector(TimeoutDetector(k9), executions)
-    assert run.traced_count == sum(1 for o in run.outcomes if o.traced)

@@ -32,11 +32,13 @@ def _run(code):
 
 
 def _loaded_after(statement):
-    """The ``repro`` modules a fresh interpreter holds after *statement*."""
+    """The ``repro`` and ``numpy`` modules a fresh interpreter holds
+    after *statement*."""
     return set(json.loads(_run(
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(name for name in sys.modules\n"
-        "                        if name.split('.')[0] == 'repro')))"
+        "                        if name.split('.')[0] in ('repro',\n"
+        "                                                  'numpy'))))"
     )))
 
 
@@ -50,6 +52,14 @@ def test_import_repro_loads_nothing_else():
     assert _loaded_after("import repro") == {"repro"}
 
 
+#: What the ingestion service never runs: numpy, the blocking-API
+#: catalog (``repro.apps``, and the database built from it), the seeded
+#: generators, the report codecs, and the fault injector.
+_OFF_THE_SERVICE_PATH = ("numpy", "repro.apps", "repro.base.rng",
+                         "repro.core.blocking_db", "repro.core.report",
+                         "repro.faults.injector")
+
+
 def test_ingest_service_loads_no_simulator_or_detector():
     loaded = _loaded_after(
         "import repro.serve.service, repro.serve.client, repro.serve.loadgen"
@@ -59,6 +69,24 @@ def test_ingest_service_loads_no_simulator_or_detector():
                   "repro.detectors", "repro.scenarios",
                   "repro.testbed") == []
     assert "repro.core.hang_doctor" not in loaded
+    # The load generator and the client may load numpy: the synthetic
+    # fleet and the client's seeded backoff draw from numpy generators
+    # by design.  The service itself loads none of it ...
+    service = _loaded_after("import repro.serve.service")
+    assert "repro.serve.service" in service
+    assert _under(service, *_OFF_THE_SERVICE_PATH) == []
+    # ... and neither does ``repro serve`` without --torn-write-rate, up
+    # to the point where it would start serving.
+    serve = _loaded_after(
+        "import asyncio\n"
+        "asyncio.run = lambda main: main.close()\n"
+        "import repro.cli\n"
+        "repro.cli.main(['serve', 'unused-state-dir'])"
+    )
+    assert "repro.serve.service" in serve
+    # The CLI parser reads FLEET_SIZE from the lazy ``repro.apps``
+    # namespace, which loads none of the package's modules.
+    assert _under(serve - {"repro.apps"}, *_OFF_THE_SERVICE_PATH) == []
 
 
 def test_fleet_study_loads_no_serve_or_crowd_code():

@@ -1,20 +1,17 @@
-"""Tests for repro.core.persistence (JSON round-trips and recovery from
-malformed state files)."""
+"""Tests for the report codecs (repro.core.report: JSON round-trips
+and recovery from malformed state files) and the durable writes of
+repro.core.persistence."""
 
 import json
 
 import pytest
 
-from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.persistence import (
-    database_from_json,
-    database_to_json,
-    load_database,
+from repro.core.report import (
+    HangBugReport,
     load_report,
     report_from_json,
     report_to_json,
 )
-from repro.core.report import HangBugReport
 from repro.faults import FaultInjector, FaultPlan
 
 
@@ -124,52 +121,6 @@ def test_load_report_through_fault_injector():
     assert injector.fired_total() == 1
 
 
-def test_database_roundtrip():
-    db = BlockingApiDatabase.initial()
-    db.add("org.htmlcleaner.HtmlCleaner.clean")
-    restored = database_from_json(database_to_json(db))
-    assert restored.names() == db.names()
-    assert restored.runtime_discoveries() == db.runtime_discoveries()
-
-
-def test_database_schema_check():
-    payload = json.loads(database_to_json(BlockingApiDatabase.initial()))
-    payload["schema"] = 0
-    with pytest.raises(ValueError):
-        database_from_json(json.dumps(payload))
-
-
-def test_database_invalid_json_raises_valueerror():
-    with pytest.raises(ValueError):
-        database_from_json("{broken")
-    with pytest.raises(ValueError):
-        database_from_json("[]")
-
-
-def test_database_missing_field_names_the_key():
-    payload = json.loads(database_to_json(BlockingApiDatabase.initial()))
-    del payload["names"]
-    with pytest.raises(ValueError, match="missing required key 'names'"):
-        database_from_json(json.dumps(payload))
-    payload["names"] = "not-a-list"
-    with pytest.raises(ValueError, match="'names' must be a list"):
-        database_from_json(json.dumps(payload))
-
-
-def test_load_database_recovers_to_shipped_initial():
-    db = BlockingApiDatabase.initial()
-    db.add("org.htmlcleaner.HtmlCleaner.clean")
-    good = database_to_json(db)
-    assert load_database(good).names() == db.names()
-    assert not load_database(good).recovered_from_corruption
-    recovered = load_database(good[: len(good) // 2])
-    assert recovered.recovered_from_corruption
-    # The curated expert list survives; only runtime discoveries since
-    # the last good write are lost.
-    assert recovered.names() == BlockingApiDatabase.initial().names()
-    assert recovered.runtime_discoveries() == []
-
-
 # ------------------------------------------------- crash-atomic writes
 
 
@@ -193,23 +144,3 @@ def test_atomic_write_torn_by_injector_keeps_old_state(tmp_path):
     with pytest.raises(TornWriteError):
         atomic_write_text(target, "new", faults=injector, label="report")
     assert target.read_text() == "old"
-
-
-def test_save_and_load_report_round_trip_on_disk(tmp_path):
-    from repro.core.persistence import save_report
-
-    path = tmp_path / "report.json"
-    save_report(path, make_report())
-    restored = load_report(path.read_text(), "K9-mail")
-    assert not restored.recovered_from_corruption
-    assert len(restored) == len(make_report())
-
-
-def test_save_and_load_database_round_trip_on_disk(tmp_path):
-    from repro.core.persistence import save_database
-
-    db = BlockingApiDatabase.initial()
-    db.add("org.htmlcleaner.HtmlCleaner.clean")
-    path = tmp_path / "db.json"
-    save_database(path, db)
-    assert database_from_json(path.read_text()).names() == db.names()

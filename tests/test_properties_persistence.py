@@ -1,15 +1,8 @@
-"""Property-based round-trip tests for the persistence layer."""
+"""Property-based round-trip tests for the report codecs."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.blocking_db import BlockingApiDatabase
-from repro.core.persistence import (
-    database_from_json,
-    database_to_json,
-    report_from_json,
-    report_to_json,
-)
-from repro.core.report import HangBugReport
+from repro.core.report import HangBugReport, report_from_json, report_to_json
 
 operation_names = st.sampled_from([
     "a.B.read", "c.D.parse", "e.F.decode", "g.H.toJson",
@@ -46,13 +39,3 @@ def test_report_roundtrip_preserves_everything(records):
         assert before.occurrences == after.occurrences
         assert before.devices == after.devices
         assert before.total_hang_ms == after.total_hang_ms
-
-
-@given(st.sets(st.sampled_from([
-    "a.B.c", "d.E.f", "g.H.i", "j.K.l", "m.N.o",
-])))
-@settings(max_examples=40)
-def test_database_roundtrip(names):
-    db = BlockingApiDatabase(names)
-    restored = database_from_json(database_to_json(db))
-    assert restored.names() == names

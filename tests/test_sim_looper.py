@@ -27,13 +27,6 @@ def test_dispatch_next_empty_queue_returns_none():
     assert Looper().dispatch_next(lambda m, t: t, 0.0) is None
 
 
-def test_pending_counts():
-    looper = Looper()
-    assert looper.pending() == 0
-    looper.post(msg())
-    assert looper.pending() == 1
-
-
 def test_response_time_is_dispatch_to_finish():
     record = DispatchRecord(message=msg(enqueue=0.0), dispatch_ms=5.0,
                             finish_ms=45.0)
