@@ -41,7 +41,7 @@ from repro.core.persistence import (
     atomic_write_bytes,
     atomic_write_text,
 )
-from repro.faults.injector import InjectedFault
+from repro.faults.errors import InjectedFault
 from repro.parallel import PartialResult, parallel_map
 from repro.telemetry import absorb_value, collect_shard
 from repro.telemetry import active as _telemetry_active

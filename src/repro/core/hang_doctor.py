@@ -40,12 +40,7 @@ from repro.core.report import HangBugReport
 from repro.core.schecker import SChecker
 from repro.core.states import ActionState, ActionStateMachine
 from repro.detectors.base import ActionOutcome, Detection, Detector
-from repro.faults import (
-    CounterUnavailableError,
-    FaultInjector,
-    FaultPlan,
-    TransientCounterError,
-)
+from repro.faults import CounterUnavailableError, TransientCounterError
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import current as telemetry
 
@@ -79,8 +74,12 @@ class HangDoctor(Detector):
         #: verdict is applied directly.  None disables the path — the
         #: paper's isolated-device behaviour.
         self.crowd_kb = crowd_kb
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults, seed=seed, scope=(app.name,))
+        if faults is not None:
+            # Only a faulted deployment loads the injection machinery.
+            from repro.faults import FaultInjector, FaultPlan
+
+            if isinstance(faults, FaultPlan):
+                faults = FaultInjector(faults, seed=seed, scope=(app.name,))
         self.faults = faults
         self.injector = AppInjector(app)
         self.machine = ActionStateMachine(

@@ -1,34 +1,22 @@
 """Crowd-backend persistence.
 
-JSON round-trips for the :class:`~repro.crowd.aggregator.CrowdAggregator`
-so the server side survives restarts, following the same robustness
-contract as :mod:`repro.core.persistence`: ``aggregator_from_json``
-raises one clear :class:`ValueError` naming the offending key on any
-malformed payload, and :func:`load_aggregator` never raises at all —
-a corrupt or truncated state file falls back to a fresh (empty)
-aggregator with ``recovered_from_corruption`` set.  Losing the crowd
-state is recoverable (devices keep uploading, the statistics re-grow);
-a crashed ingestion service is not.
+JSON round-trips for the :class:`~repro.crowd.aggregator.CrowdAggregator`,
+with the robustness contract of :mod:`repro.core.persistence`:
+``aggregator_from_json`` raises one :class:`ValueError` naming the
+offending key on any malformed payload, and :func:`load_aggregator`
+never raises (a corrupt state file yields a fresh aggregator with
+``recovered_from_corruption`` set: the statistics re-grow, while a
+crashed ingestion service would stop the feedback loop).  Batches
+serialize in sorted-id order, so equal aggregators serialize
+byte-identically however their batches arrived.
 
-Serialization folds batches in sorted-id order, so two aggregators
-with equal contents — however their batches arrived — always
-serialize byte-identically.
-
-Interplay with the serve-side write-ahead journal
-(:mod:`repro.serve.wal`): the ingestion service persists a snapshot
-through :func:`save_aggregator` *plus* a WAL of batches acknowledged
-since that snapshot.  Both writes run through the ``torn_write_rate``
-seam, and recovery composes their two guarantees — a torn snapshot
-write leaves the previous complete snapshot untouched
-(:func:`~repro.core.persistence.atomic_write_text` renames only after
-fsync), and a torn WAL append is detected by its record checksum,
-left out of replay, and cut by the
-:class:`~repro.core.persistence.AppendLog` before the next append —
-so a restart always lands on the last consistent state, never a
-half-applied batch, and later acks never land behind the fragment.  Batches are applied
-whole (:func:`batch_from_dict` validates before
-:meth:`~repro.crowd.aggregator.CrowdAggregator.ingest` runs), which is
-what "never half-applied" means at this layer.
+The ingestion service persists a snapshot through
+:func:`save_aggregator` plus a write-ahead journal of the batches acked
+since (:mod:`repro.serve.wal`); :mod:`repro.serve.state` composes their
+recovery guarantees, so a restart lands on the last consistent state.
+Batches are applied whole: :func:`batch_from_dict` checks every
+field's presence and JSON type before
+:meth:`~repro.crowd.aggregator.CrowdAggregator.ingest` runs.
 """
 
 import json
@@ -71,38 +59,55 @@ def batch_to_dict(batch):
     }
 
 
+#: Each wire field's key and JSON type, in the order of the dataclass
+#: fields it fills.  A number is an int or a float, never a bool.
+_NUMBER = (int, float)
+_BATCH_FIELDS = (("batch_id", str), ("app", str), ("device", _NUMBER),
+                 ("time_ms", _NUMBER), ("observations", list))
+_OBSERVATION_FIELDS = (
+    ("signature", str), ("action", str), ("operation", str), ("file", str),
+    ("line", _NUMBER), ("self_developed", bool), ("occurrences", _NUMBER),
+    ("total_hang_ms", _NUMBER), ("max_occurrence_factor", _NUMBER),
+)
+_JSON_TYPES = {str: "a string", _NUMBER: "a number", bool: "a boolean",
+               list: "an array"}
+
+
+def _typed_fields(raw, fields, context):
+    """The values of *fields* in *raw*, each checked for its JSON type."""
+    values = []
+    for key, kind in fields:
+        value = _field(raw, key, context)
+        if not isinstance(value, kind) or (type(value) is bool
+                                           and kind is not bool):
+            raise ValueError(
+                f"malformed {context}: {key!r} must be {_JSON_TYPES[kind]}, "
+                f"got {type(value).__name__}"
+            )
+        values.append(value)
+    return values
+
+
 def batch_from_dict(raw):
     """Rebuild one :class:`ReportBatch` from its wire form.
 
-    Raises ValueError (naming the offending key) on malformed input —
-    the shared validation path for snapshots, WAL records, and HTTP
-    upload bodies.
+    Raises ValueError (naming the offending key) on a missing or
+    mistyped field — the shared validation path for snapshots, WAL
+    records, and HTTP upload bodies.  A batch id that is not a string
+    would otherwise be acked, then fail every publish (which sorts by
+    id).
     """
-    observations = []
-    for obs in _field(raw, "observations", "crowd batch"):
-        observations.append(BugObservation(
-            signature=_field(obs, "signature", "crowd observation"),
-            action=_field(obs, "action", "crowd observation"),
-            operation=_field(obs, "operation", "crowd observation"),
-            file=_field(obs, "file", "crowd observation"),
-            line=_field(obs, "line", "crowd observation"),
-            is_self_developed=_field(
-                obs, "self_developed", "crowd observation"
-            ),
-            occurrences=_field(obs, "occurrences", "crowd observation"),
-            total_hang_ms=_field(
-                obs, "total_hang_ms", "crowd observation"
-            ),
-            max_occurrence_factor=_field(
-                obs, "max_occurrence_factor", "crowd observation"
-            ),
-        ))
+    batch_id, app_name, device_id, time_ms, observations = _typed_fields(
+        raw, _BATCH_FIELDS, "crowd batch"
+    )
     return ReportBatch(
-        batch_id=_field(raw, "batch_id", "crowd batch"),
-        app_name=_field(raw, "app", "crowd batch"),
-        device_id=_field(raw, "device", "crowd batch"),
-        time_ms=_field(raw, "time_ms", "crowd batch"),
-        observations=tuple(observations),
+        batch_id=batch_id, app_name=app_name, device_id=device_id,
+        time_ms=time_ms,
+        observations=tuple(
+            BugObservation(*_typed_fields(obs, _OBSERVATION_FIELDS,
+                                          "crowd observation"))
+            for obs in observations
+        ),
     )
 
 

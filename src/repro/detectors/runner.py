@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.metrics import traced_confusion
-from repro.analysis.overhead import OverheadModel, app_baseline
 from repro.detectors.base import MonitoringCost
 
 
@@ -57,7 +56,14 @@ class DetectorRun:
         return traced_confusion(self.executions, self.outcomes)
 
     def overhead(self, model=None):
-        """Overhead percentages for this run."""
+        """Overhead percentages for this run.
+
+        Only the comparison, ablation and chaos experiments ask for
+        it, so the overhead model loads here rather than with the
+        runner every deployment uses.
+        """
+        from repro.analysis.overhead import OverheadModel, app_baseline
+
         model = model or OverheadModel()
         cpu_ms, mem_kb = app_baseline(self.executions)
         return model.overhead(self.cost, cpu_ms, mem_kb)

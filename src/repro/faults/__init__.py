@@ -1,21 +1,21 @@
 """Fault-injection substrate.
 
-Deterministic, seeded injection of the monitoring failures a real
-deployment sees — denied or dying perf counters, refused or truncated
-stack sampling, corrupted on-device state files — plus the exception
-vocabulary the hardened runtime absorbs.  See
-:mod:`repro.faults.plan` for the declarative fault model and
-:mod:`repro.faults.injector` for the injection mechanics; the chaos
-experiment (:mod:`repro.harness.exp_chaos`, ``python -m repro chaos``)
-sweeps fault rates and reports how much detection quality survives.
+Seeded injection of the monitoring failures a real deployment sees
+(dying perf counters, refused stack sampling, torn state files):
+:mod:`~repro.faults.plan` holds the fault model,
+:mod:`~repro.faults.injector` the mechanics, and
+:mod:`~repro.faults.errors` the exceptions the hardened runtime
+absorbs, apart so that a fault-free run loads neither of the others.
+``python -m repro chaos`` (:mod:`repro.harness.exp_chaos`) sweeps
+fault rates and reports how much detection quality survives.
 """
 
 from repro import _lazy_exports
 
 _EXPORTS = {
-    ".injector": ("CounterUnavailableError", "FaultInjector", "InjectedFault",
-                  "TornWriteError", "TraceCollectionError",
-                  "TransientCounterError"),
+    ".errors": ("CounterUnavailableError", "InjectedFault", "TornWriteError",
+                "TraceCollectionError", "TransientCounterError"),
+    ".injector": ("FaultInjector",),
     ".plan": ("FaultPlan",),
 }
 

@@ -16,34 +16,20 @@ so:
 * a channel whose rate is zero never draws at all, so an all-zero plan
   is a true no-op.
 
-Injected failures are :class:`InjectedFault` subclasses, which the
-hardened runtime (:class:`~repro.core.hang_doctor.HangDoctor` and
-friends) must absorb: a fault may degrade monitoring, never crash it.
+Injected failures are :class:`~repro.faults.errors.InjectedFault`
+subclasses, which the hardened runtime
+(:class:`~repro.core.hang_doctor.HangDoctor` and friends) must absorb:
+a fault may degrade monitoring, never crash it.
 """
 
-from repro.base.rng import stream
 from repro.base.frames import StackTrace
+from repro.base.rng import stream
+from repro.faults.errors import (
+    CounterUnavailableError,
+    TraceCollectionError,
+    TransientCounterError,
+)
 from repro.faults.plan import FaultPlan
-
-
-class InjectedFault(RuntimeError):
-    """Base class for failures raised by the fault layer."""
-
-
-class TransientCounterError(InjectedFault):
-    """A counter read failed transiently; a retry may succeed."""
-
-
-class CounterUnavailableError(InjectedFault):
-    """The performance-counter substrate died permanently."""
-
-
-class TraceCollectionError(InjectedFault):
-    """Stack sampling was refused for one collection window."""
-
-
-class TornWriteError(InjectedFault):
-    """A state write died mid-stream, leaving a truncated temp file."""
 
 
 class FaultInjector:
@@ -65,6 +51,12 @@ class FaultInjector:
         self.draws = {}
         #: Per-channel count of faults actually fired.
         self.fired = {}
+
+    def scoped(self, *keys):
+        """A fresh injector with this plan and seed, its streams
+        scoped under *keys* too."""
+        return FaultInjector(self.plan, seed=self.seed,
+                             scope=(*self.scope, *keys))
 
     # ------------------------------------------------------------- draws
 

@@ -8,8 +8,8 @@ detection quality survives when the monitors are flaky?*
 
 For each fault rate the sweep deploys Hang Doctor on a set of catalog
 apps exactly the way the Table 5 fleet study does — per-app seeds via
-:func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
-generator, the same :func:`~repro.harness.exp_fleet.deploy` — but
+:func:`~repro.harness.deployment.fleet_app_seed`, the same session
+generator, the same :func:`~repro.harness.deployment.deploy` — but
 with a :class:`~repro.faults.FaultPlan` (scaled by the rate) attached,
 then reports the precision/recall/overhead degradation curve against
 the fault-free (rate 0) row.  Because every app's run is a pure
@@ -35,7 +35,7 @@ from repro.apps.sessions import SessionGenerator
 from repro.core.report import load_report, report_to_json
 from repro.faults import FaultPlan
 from repro.harness.exp_comparison import FIGURE8_APPS
-from repro.harness.exp_fleet import deploy, fleet_app_seed
+from repro.harness.deployment import deploy, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.sched import ElasticScheduler
@@ -158,7 +158,7 @@ def _chaos_cell(payload):
     """Deploy Hang Doctor on one app at one fault rate (module-level so
     the process pool can pickle it); returns a :class:`ChaosCell`.
 
-    Deploys through :func:`repro.harness.exp_fleet.deploy` with the
+    Deploys through :func:`repro.harness.deployment.deploy` with the
     fleet study's seeds and sessions, so the rate-0 cell reproduces
     the fleet study's fault-free numbers bit-for-bit.
     """

@@ -13,16 +13,18 @@ hangs).  Paper: context-switches 18/23, task-clock 12/23, page-faults
 
 The fleet study decomposes at *app* granularity: each app's simulated
 deployment depends only on (device, root seed, app), thanks to the
-per-app seed derivation of :func:`fleet_app_seed`.  ``table5`` hands
+per-app seed derivation of
+:func:`~repro.harness.deployment.fleet_app_seed`.  ``table5`` hands
 :mod:`repro.sched` one item per app, weighted by session count, which
 it packs into one shard per worker (``workers=N``); every app comes
 back as one cell, and the result is built once from the cells in
 corpus order, so the parallel output is bit-identical to the serial
 one regardless of worker count.
 
-:func:`deploy` is the one deployment path every deployment sweep
-shares: Table 5, the scenario sweep, the chaos sweep, and the crowd
-and stream rounds.
+Each app deploys through :func:`~repro.harness.deployment.deploy`, the
+one deployment path every deployment sweep shares.  Table 6's
+training harness is imported by :func:`table6` alone, so a Table 5
+run never loads it.
 """
 
 import math
@@ -33,58 +35,14 @@ from repro.analysis.metrics import detected_bug_sites
 from repro.apps.catalog import TABLE5_APPS
 from repro.apps.corpus import FLEET_SIZE, build_corpus
 from repro.apps.sessions import SessionGenerator
-from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.config import HangDoctorConfig
-from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
-from repro.detectors.runner import DetectorRun, run_detector
+from repro.harness.deployment import deploy, fleet_app_seed
 from repro.harness.tables import render_table
-from repro.harness.training import validation_firings
 from repro.parallel import ExecutionReport
 from repro.sched import ElasticScheduler
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
-
-
-def fleet_app_seed(seed, app_name):
-    """Per-app seed for the fleet study, derived from the root seed.
-
-    Every app must consume its *own* RNG streams: seeding each app's
-    engine and Hang Doctor with the raw root seed would make all 114
-    apps draw identical noise sequences (identical S-Checker sampling
-    error, identical trace jitter), cross-correlating the fleet
-    statistics.  Deriving through the keyed hash also makes an app's
-    run independent of its corpus position, which is what lets shards
-    execute on any worker in any order.
-    """
-    return substream_seed(seed, "fleet", app_name)
-
-
-def deploy(app, device, seed, sessions, **doctor_options):
-    """Deploy Hang Doctor on *app* for *sessions*; returns ``(doctor, run)``.
-
-    The doctor is seeded with *seed* and built with *doctor_options*
-    (``config``, ``blocking_db``, ``faults``, ``crowd_kb``); its engine
-    shares the seed and simulates only the events the doctor's filter
-    reads.  Each session runs with one-second gaps between actions,
-    on the device of the session's user, and *run* is one
-    :class:`~repro.detectors.runner.DetectorRun` over all of them
-    (empty when there are no sessions).
-    """
-    doctor = HangDoctor(app, device, seed=seed, **doctor_options)
-    engine = ExecutionEngine(
-        device, seed=seed, monitored=doctor.config.filter_events()
-    )
-    runs = [
-        run_detector(
-            doctor,
-            engine.run_session(app, session.action_names, gap_ms=1000.0),
-            device_id=session.user_id,
-        )
-        for session in sessions
-    ]
-    return doctor, DetectorRun.merge([DetectorRun(doctor.name), *runs])
 
 
 @dataclass
@@ -323,6 +281,8 @@ class Table6Result:
 
 def table6(device, seed=0, runs=25, config=None, recognize_rate=0.5):
     """Reproduce Table 6's per-counter validation-bug attribution."""
+    from repro.harness.training import validation_firings
+
     config = (config or HangDoctorConfig()).validate()
     events = config.filter_events()
     per_app: Dict[str, Table6Row] = {}

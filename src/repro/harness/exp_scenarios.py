@@ -3,8 +3,8 @@
 Deploys Hang Doctor on a taxonomy-generated fleet
 (:mod:`repro.scenarios`) exactly the way the Table 5 study deploys it
 on the paper corpus — per-app seeds via
-:func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
-generator, the same :func:`~repro.harness.exp_fleet.deploy` — and
+:func:`~repro.harness.deployment.fleet_app_seed`, the same session
+generator, the same :func:`~repro.harness.deployment.deploy` — and
 scores every app against its archetype's ground truth, producing a
 precision/recall/false-positive table per archetype.
 
@@ -39,7 +39,7 @@ from repro.analysis.metrics import (
 from repro.apps.sessions import SessionGenerator
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.detectors.offline import OfflineScanner
-from repro.harness.exp_fleet import deploy, fleet_app_seed
+from repro.harness.deployment import deploy, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.scenarios import (
@@ -175,7 +175,7 @@ def _scenario_cell(payload):
     """Deploy Hang Doctor on one generated app (module-level so the
     process pool can pickle it); returns its :class:`ScenarioCell`.
 
-    Deploys through :func:`repro.harness.exp_fleet.deploy` with the
+    Deploys through :func:`repro.harness.deployment.deploy` with the
     fleet study's per-app seeds and session structure, so scenario
     numbers are directly comparable to the Table 5 fleet study's.
     """

@@ -54,7 +54,7 @@ from repro.base.rng import substream_seed
 from repro.core.blocking_db import BlockingApiDatabase
 from repro.crowd import CrowdAggregator, CrowdKnowledge, ReportBatch
 from repro.faults import FaultInjector, FaultPlan
-from repro.harness.exp_fleet import deploy
+from repro.harness.deployment import deploy
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
 from repro.sched import ElasticScheduler
@@ -75,7 +75,7 @@ def crowd_device_seed(seed, device_index, round_index):
     """Per-(device, round) seed, derived from the root seed.
 
     Keyed-hash derivation (like
-    :func:`~repro.harness.exp_fleet.fleet_app_seed`) makes a device's
+    :func:`~repro.harness.deployment.fleet_app_seed`) makes a device's
     round independent of fleet size, worker count, and every other
     device's rounds — which is what lets fleets of different sizes
     share the same per-device behaviour and makes the superset

@@ -3,7 +3,7 @@
 The fleet-scale experiments (Table 5's 114-app study, Figure 8's
 detector comparison, the seed-stability sweeps) decompose naturally at
 *app* granularity: after the per-app seed derivation of
-:func:`repro.harness.exp_fleet.fleet_app_seed`, every app's simulated
+:func:`repro.harness.deployment.fleet_app_seed`, every app's simulated
 deployment is a pure function of (device, root seed, app), so shards
 can run on any worker in any order, and a sweep builds the exact
 result a serial run produces from their values in submission order.

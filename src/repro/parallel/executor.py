@@ -49,15 +49,14 @@ deterministically: kill and stall verdicts are keyed by shard, so
 they reproduce for any worker count, and they only fire inside a real
 worker process.  The scheduler re-scopes the injector per dispatch
 round, so a re-dispatched shard draws a fresh verdict.
+
+``multiprocessing`` and the process pool are imported where a pool
+starts, so a ``--workers 1`` run never loads them.
 """
 
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import List
 
@@ -279,6 +278,8 @@ def _supervised(fn, item, shard, faults):
     any worker count and completion order; the kill only fires inside
     a real worker process, never in the parent.
     """
+    import multiprocessing
+
     if faults is not None and multiprocessing.parent_process() is not None:
         if faults.worker_kill_fault(shard):
             os._exit(KILLED_EXIT_CODE)
@@ -320,6 +321,9 @@ def _drain(futures, results, deadline, report, on_result,
     deadline on top would let a slow-but-progressing pool extend a
     stalled shard several deadlines' worth of wall time.
     """
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
     stalled = []
     crashed = []
     unshipped = []
@@ -414,6 +418,9 @@ def _pooled(fn, items, workers, deadline, faults, report, results,
     pool cannot start, and runs the shards it could not ship
     in-process after it shuts down.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     report.pool_attempts += 1
     try:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),

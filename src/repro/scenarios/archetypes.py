@@ -3,9 +3,9 @@
 Every builder has the same shape — ``build(rng, name, package) ->
 AppSpec`` — and draws everything it needs from the *rng* it is given,
 so a generated app is a pure function of ``(archetype, rng stream)``.
-All builders share the :func:`~repro.apps.corpus.app_profile` prefix
+All builders share the :func:`~repro.apps.clean.app_profile` prefix
 (category, downloads, commit) and, for the bug archetypes, a clean-app
-action body (:func:`~repro.apps.corpus.clean_actions`) that the bug
+action body (:func:`~repro.apps.clean.clean_actions`) that the bug
 actions are appended to: a bug-bearing app is a clean app plus its
 bugs, the way real apps are.
 
@@ -16,7 +16,7 @@ scores generated apps the same way it scores the hand-modelled
 catalog.  The archetypes:
 
 ``clean``
-    :func:`repro.apps.corpus.clean_app` verbatim — UI and light work
+    :func:`repro.apps.clean.clean_app` verbatim — UI and light work
     only, zero ground-truth bugs.
 ``main_thread_blocking``
     The paper's own family: clean body plus 1-2 actions that call a
@@ -46,7 +46,7 @@ from dataclasses import replace
 from repro.apps import android_apis as apis
 from repro.apps.app import AppSpec
 from repro.apps.catalog_helpers import action, op
-from repro.apps.corpus import app_profile, clean_actions, clean_app
+from repro.apps.clean import app_profile, clean_actions, clean_app
 
 #: Main-thread blocking/compute APIs long enough to be hang bugs
 #: (filters out sub-100 ms movable calls like camera setParameters).

@@ -49,7 +49,6 @@ import math
 
 from repro.base.rng import stream
 from repro.checkpoint.journal import ShardJournal, checkpointed_map, run_key
-from repro.faults import FaultInjector
 from repro.parallel import ExecutionReport, resolve_workers
 from repro.telemetry import absorb_value
 from repro.telemetry import current as _telemetry_current
@@ -174,10 +173,7 @@ class ElasticScheduler:
         """Per-round injector: same plan, round-scoped streams."""
         if self.faults is None:
             return None
-        return FaultInjector(
-            self.faults.plan, seed=self.faults.seed,
-            scope=(*self.faults.scope, "dispatch", round_number),
-        )
+        return self.faults.scoped("dispatch", round_number)
 
     def _log(self, kind, **record):
         if self.journal is not None:

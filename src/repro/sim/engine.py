@@ -41,7 +41,6 @@ from repro.base.rng import (
     stream,
 )
 from repro.sim.counters import DVFS_SIGMA, CounterModel
-from repro.sim.looper import Looper, Message
 from repro.sim.plan import ActionPlan
 from repro.sim.timeline import (
     MAIN_THREAD,
@@ -248,6 +247,14 @@ class ExecutionEngine:
         #: implementation end to end — the reference baseline for the
         #: bit-identity tests and the ``BENCH_*.json`` trajectory.
         self.columnar = bool(columnar)
+        #: Only the reference posts each action's input events to a
+        #: :class:`~repro.sim.looper.Looper`; columnar engines drain
+        #: them inline and never load that module.
+        self._looper_types = None
+        if not self.columnar:
+            from repro.sim.looper import Looper, Message
+
+            self._looper_types = (Looper, Message)
         self._plans = {}
         self._execution_index = 0
         # Lazy columnar engines re-key one pooled generator per action
@@ -344,6 +351,8 @@ class ExecutionEngine:
         absorbing the delay of whatever ran before them, unlike
         ``response_time_ms`` — and the burst's :class:`Timeline`.
         """
+        from repro.sim.looper import Looper, Message
+
         self._execution_index += 1
         rng = stream(self.seed, app.name, "burst", self._execution_index)
         dvfs = float(rng.lognormal(mean=0.0, sigma=DVFS_SIGMA))
@@ -427,11 +436,12 @@ class ExecutionEngine:
             for event_spec, ops in zip(action.events, plan.events):
                 clock = run_event(event_spec, ops, start_ms, clock)
         else:
-            looper = Looper()
+            looper_type, message_type = self._looper_types
+            looper = looper_type()
             for event_spec in action.events:
                 looper.post(
-                    Message(target=event_spec.name, payload=event_spec,
-                            enqueue_ms=start_ms)
+                    message_type(target=event_spec.name, payload=event_spec,
+                                 enqueue_ms=start_ms)
                 )
 
             def handle(message, dispatch_ms):

@@ -12,7 +12,8 @@ This module reproduces the queue.  The engine's queued bursts and its
 and drain them through a handler; each :class:`DispatchRecord` carries
 the dispatch and finish times those two lines would bracket.  Other
 actions drain their events inline, with the same timings, and record
-them on every :class:`~repro.sim.engine.InputEventExecution`.
+them on every :class:`~repro.sim.engine.InputEventExecution`; a
+process that runs only those never loads this module.
 """
 
 from collections import deque

@@ -243,6 +243,30 @@ def test_store_rejects_malformed_payloads():
         )
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("batch_id", 12345, "a string"),
+    ("app", None, "a string"),
+    ("device", True, "a number"),
+    ("time_ms", "1.0", "a number"),
+    ("observations", {}, "an array"),
+    ("observation.file", 7, "a string"),
+    ("observation.line", False, "a number"),
+    ("observation.self_developed", 1, "a boolean"),
+    ("observation.total_hang_ms", [], "a number"),
+])
+def test_batch_from_dict_checks_each_field_type(key, value, expected):
+    """Numbers take int or float, never bool; a mistyped field is a
+    ValueError naming the key, like a missing one."""
+    from repro.crowd.store import batch_from_dict
+
+    raw = batch_to_dict(make_batches(1)[0])
+    assert batch_from_dict(raw) == make_batches(1)[0]
+    target, _, field = key.rpartition(".")
+    (raw["observations"][0] if target else raw)[field] = value
+    with pytest.raises(ValueError, match=f"'{field}' must be {expected}"):
+        batch_from_dict(raw)
+
+
 def test_load_aggregator_never_raises():
     fresh = load_aggregator("garbage ] not json")
     assert len(fresh) == 0

@@ -16,6 +16,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 _SOURCE_ROOT = pathlib.Path(repro.__file__).resolve().parents[1]
@@ -89,11 +91,82 @@ def test_ingest_service_loads_no_simulator_or_detector():
     assert _under(serve - {"repro.apps"}, *_OFF_THE_SERVICE_PATH) == []
 
 
-def test_fleet_study_loads_no_serve_or_crowd_code():
-    loaded = _loaded_after("from repro.harness.exp_fleet import table5")
+#: How each study is entered and run, at small sizes: the entry import
+#: (set-up, as in a CLI or benchmark pass) and the study call.
+_STUDIES = {
+    "fleet": ("from repro.harness.exp_fleet import table5",
+              "table5(LG_V10, users=1, actions_per_user=3, corpus_size=24,"
+              " workers=1)"),
+    "scenarios": ("from repro.harness.exp_scenarios import scenario_sweep",
+                  "scenario_sweep(LG_V10, size=12, users=1,"
+                  " actions_per_user=3, workers=1, checkpoint=STATE)"),
+    "stream": ("from repro.harness.exp_stream import stream_sweep",
+               "stream_sweep(LG_V10, rounds=2, fleet_size=2, churn_rate=0.1,"
+               " actions_per_round=5, fault_rate=0.1, workers=1,"
+               " checkpoint=STATE)"),
+}
+
+#: What no study runs, so none loads: Table 6's training harness and
+#: the correlation analysis under it, the overhead model, the looper
+#: only queued bursts and the ``columnar=False`` reference post to,
+#: the process pool of a one-worker run, and the service, ops plane,
+#: test bed and OS-integration packages.
+_NO_STUDY_RUNS = ("repro.harness.training", "repro.analysis.correlation",
+                  "repro.analysis.overhead", "repro.sim.looper",
+                  "multiprocessing", "concurrent.futures.process",
+                  "repro.serve", "repro.obs", "repro.testbed", "repro.osint")
+
+#: What each study never runs, so never loads: the above, the other
+#: studies' packages, the fault injector where no fault is injected,
+#: and the hand-modelled apps a generated fleet never reads.
+_NEVER_RUN = {
+    "fleet": _NO_STUDY_RUNS + ("repro.crowd", "repro.scenarios",
+                               "repro.faults.injector", "repro.faults.plan"),
+    "scenarios": _NO_STUDY_RUNS + ("repro.crowd", "repro.faults.injector",
+                                   "repro.faults.plan", "repro.apps.catalog",
+                                   "repro.apps.motivation",
+                                   "repro.apps.wellknown"),
+    "stream": _NO_STUDY_RUNS + ("repro.scenarios", "repro.apps.wellknown"),
+}
+
+
+@pytest.fixture(scope="module")
+def study_modules(tmp_path_factory):
+    """``study -> (modules after set-up, modules after the call)`` of a
+    fresh interpreter that enters the study and runs it once."""
+    runs = {}
+
+    def load(study):
+        if study not in runs:
+            entry, call = _STUDIES[study]
+            state = tmp_path_factory.mktemp(study)
+            runs[study] = tuple(map(set, json.loads(_run(
+                "import json, sys\n"
+                "from repro.sim.device import LG_V10\n"
+                f"{entry}\n"
+                f"STATE = {str(state)!r}\n"
+                "set_up = sorted(sys.modules)\n"
+                f"{call}\n"
+                "print(json.dumps([set_up, sorted(sys.modules)]))"
+            ))))
+        return runs[study]
+
+    return load
+
+
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_study_loads_only_what_it_runs(study, study_modules):
+    _, loaded = study_modules(study)
     assert "repro.sim.engine" in loaded
-    assert _under(loaded, "repro.serve", "repro.obs", "repro.crowd",
-                  "repro.scenarios", "repro.testbed", "repro.osint") == []
+    assert _under(loaded, *_NEVER_RUN[study]) == []
+
+
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_study_imports_no_module_inside_its_call(study, study_modules):
+    """Set-up loads every ``repro`` module a study runs, so no import
+    lands in the study's own (timed) call."""
+    set_up, loaded = study_modules(study)
+    assert _under(loaded - set_up, "repro") == []
 
 
 def test_cli_parser_loads_no_study_code():

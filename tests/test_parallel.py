@@ -23,13 +23,9 @@ import repro
 from repro.apps.corpus import build_corpus
 from repro.detectors.base import MonitoringCost
 from repro.detectors.runner import DetectorRun
+from repro.harness.deployment import fleet_app_seed
 from repro.harness.exp_comparison import figure8, fit_utilization_thresholds
-from repro.harness.exp_fleet import (
-    Table5Result,
-    _table5_shape,
-    fleet_app_seed,
-    table5,
-)
+from repro.harness.exp_fleet import Table5Result, _table5_shape, table5
 from repro.harness.exp_stability import fleet_stability
 from repro.parallel import (
     ExecutionReport,

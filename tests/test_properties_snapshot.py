@@ -5,9 +5,9 @@
 ``json.dumps`` stays the reference: the snapshot's bytes are the
 service's published state and are pinned by digest, so the writer
 must match it for every value a batch can carry.  ``batch_from_dict``
-checks that each field is present, not its type, so a field of an
-uploaded or replayed batch may hold any JSON value, NaN and the
-infinities included.
+checks each field's JSON type, but an aggregator fed in-process takes
+batches as they come, so a field may still hold any value, NaN and
+the infinities included.
 """
 
 import json

@@ -8,7 +8,7 @@ from repro.apps.sessions import SessionGenerator
 from repro.base.kinds import ApiKind
 from repro.core.hang_doctor import HangDoctor
 from repro.detectors.runner import run_detector
-from repro.harness.exp_fleet import fleet_app_seed
+from repro.harness.deployment import fleet_app_seed
 from repro.harness.exp_scenarios import ScenarioResult, scenario_sweep
 from repro.scenarios import (
     ARCHETYPES,

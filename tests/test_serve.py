@@ -617,7 +617,7 @@ def test_service_never_acks_torn_group_then_recovers(tmp_path):
             self.torn = []
 
         def torn_write_fault(self, label):
-            if label == f"wal:{victim}" and not self.torn:
+            if label == f"wal:{victim}:1" and not self.torn:
                 self.torn.append(label)
                 return True
             return False
@@ -638,6 +638,74 @@ def test_service_never_acks_torn_group_then_recovers(tmp_path):
 
     service = run(scenario())
     assert service.state.snapshot_bytes() == expected.encode("utf-8")
+
+
+def test_service_retries_torn_batch_until_acked_then_replays(tmp_path):
+    """A torn append is keyed on the batch and its attempt: a batch
+    whose first append tears draws a fresh verdict on the retry, is
+    acked, and replays from the WAL after a kill."""
+    fleet_batches = fleet(4, 1, seed=43)
+    expected = baseline_snapshot_json(fleet_batches)
+    batches = flat(fleet_batches)
+    faults = FaultInjector(FaultPlan(torn_write_rate=0.5), seed=2,
+                           scope=("serve",))
+    # Keyed verdicts do not depend on earlier draws, so asking ahead
+    # changes nothing the service will see.
+    first_tears = [batch.batch_id for batch in batches
+                   if faults.torn_write_fault(f"wal:{batch.batch_id}:1")]
+    assert first_tears  # the seed tears some batch's first append
+
+    async def killed_after_uploads():
+        service = await _started(tmp_path, faults=faults,
+                                 snapshot_every=10**6)
+        client = ServeClient("127.0.0.1", service.port, seed=3,
+                             max_attempts=40, sleep_scale=0.0)
+        for batch in batches:
+            await client.upload(batch)
+        assert client.stats.delivered == len(batches)
+        assert service.stats["write_failures"] >= len(first_tears)
+        await client.close()
+        await service.abort()  # no publish: every ack lives in the WAL
+
+    async def restarted():
+        service = await _started(tmp_path)
+        assert service.state.replayed == len(batches)
+        await service.stop()
+        return service
+
+    run(killed_after_uploads())
+    assert run(restarted()).state.snapshot_bytes() == expected.encode()
+
+
+def test_service_rejects_mistyped_batch_and_keeps_publishing(tmp_path):
+    """An upload whose batch id is a number is refused with 400 before
+    it is journaled; the publishes after it still succeed."""
+    batches = flat(fleet(2, 1, seed=47))
+    mistyped = dict(batch_to_dict(batches[1]), batch_id=12345)
+
+    async def scenario():
+        service = await _started(tmp_path, snapshot_every=1)
+        client = ServeClient("127.0.0.1", service.port, seed=5,
+                             sleep_scale=0.0)
+        await client.upload(batches[0])
+        head, body = await client._exchange("POST", "/v1/batches",
+                                            json.dumps(mistyped))
+        assert head.split()[1] == "400"
+        assert "'batch_id' must be a string" in json.loads(body)["error"]
+        for batch in batches[1:]:
+            await client.upload(batch)
+        published = service.stats["publishes"]
+        head, _ = await client._exchange("POST", "/v1/publish")
+        assert head.split()[1] == "200"
+        assert service.stats["publishes"] == published + 1
+        await client.close()
+        await service.stop()
+        return service
+
+    service = run(scenario())
+    assert service.stats["bad_requests"] == 1
+    assert service.stats["publish_failures"] == 0
+    assert service.state.snapshot_bytes() == serial_json(batches).encode()
 
 
 # ------------------------------------------------------------- client
