@@ -4,9 +4,10 @@
 Runs Hang Doctor over K9-mail's simulated fleet sessions (the Table 5
 machinery for one app) under a telemetry session, then:
 
-1. prints the top spans by self-time — `sim.action.execute` dominates,
-   with `core.diagnoser.collect` appearing once per phase-2 trace
-   collection;
+1. prints the top spans by self-time — `core.action.process` and
+   `sim.action.execute` tie, since each records the same action
+   interval, and `core.diagnoser.collect` appears once per phase-2
+   trace collection;
 2. prints the metrics registry — actions processed, S-Checker
    verdicts, phase-2 collections, the response-time histogram;
 3. writes the exports (`trace.jsonl`, Perfetto-loadable `trace.json`,
@@ -22,6 +23,7 @@ Run:  python examples/trace_run.py
 
 from repro import telemetry
 from repro.harness.exp_fleet import table5
+from repro.obs import render_self_time_rows, self_time_rows
 from repro.sim.device import LG_V10
 
 SWEEP = dict(seed=7, users=2, actions_per_user=40, corpus_size=22)
@@ -38,9 +40,7 @@ def main():
     tel, rendered = observed_run(workers=2)
 
     print("1. Top spans by self-time (sim-clock ms within each track)")
-    for row in telemetry.top_spans_by_self_time(tel, limit=5):
-        print(f"   {row['name']:<24} x{row['count']:<5} "
-              f"total={row['total_self']:.0f} mean={row['mean_self']:.1f}")
+    print(render_self_time_rows(self_time_rows(tel.records, limit=5)))
 
     print("\n2. Metrics")
     print(telemetry.export_metrics_text(tel).rstrip())

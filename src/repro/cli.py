@@ -144,8 +144,15 @@ def _emit_observability(args, session, report=None):
         print(f"telemetry: wrote {len(paths)} file(s) to {directory}/",
               file=sys.stderr)
     if getattr(args, "trace", False):
+        from repro.obs import render_self_time_rows, self_time_rows
+
         print()
-        print(telemetry.render_trace_summary(session))
+        print("top 10 spans by self-time:")
+        print(render_self_time_rows(self_time_rows(session.records)))
+        metrics = telemetry.export_metrics_text(session)
+        if metrics:
+            print()
+            print(metrics, end="")
 
 
 def _run_sweep(args, sweep, **params):

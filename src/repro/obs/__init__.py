@@ -12,8 +12,8 @@ section of ``docs/observability.md``):
   byte-identical ``rollups.jsonl`` across workers and resume;
 * :mod:`repro.obs.slo` — declarative objectives, error budgets, and
   multi-window burn-rate alerts on ``alerts.jsonl``;
-* :mod:`repro.obs.profile` — collapsed-stack flamegraph export and
-  self-time attribution;
+* :mod:`repro.obs.profile` — the span forest behind every account of
+  time: the collapsed-stack flamegraph and the self-time table;
 * :mod:`repro.obs.dash` — the ``repro dash`` terminal dashboard.
 
 Like the telemetry package it builds on, ``repro.obs`` imports
@@ -25,10 +25,11 @@ from repro import _lazy_exports
 _EXPORTS = {
     ".dash": ("render_dash",),
     ".exports": ("OBS_FILENAMES", "write_obs_exports"),
-    ".profile": ("collapse_stacks", "flamegraph_text", "self_time_rows"),
+    ".profile": ("flamegraph_text", "records_from_jsonl",
+                 "render_self_time_rows", "self_time_rows"),
     ".prometheus": ("CONTENT_TYPE", "render_prometheus", "split_labels"),
     ".rollup": ("DEFAULT_WINDOW_MS", "Rollup", "bucket_quantile",
-                "records_from_jsonl", "rollup_from_session"),
+                "rollup_from_session"),
     ".slo": ("DEFAULT_LONG_WINDOWS", "DEFAULT_OBJECTIVES", "PAGE_BURN",
              "TICKET_BURN", "alerts_to_jsonl", "evaluate_slos",
              "render_slo_table"),

@@ -10,17 +10,13 @@ twice produces identical text.
 
 import pathlib
 
-from repro.obs.profile import self_time_rows
-from repro.obs.rollup import (
-    DEFAULT_WINDOW_MS,
-    Rollup,
+from repro.obs.profile import (
     records_from_jsonl,
+    render_self_time_rows,
+    self_time_rows,
 )
-from repro.obs.slo import (
-    DEFAULT_OBJECTIVES,
-    evaluate_slos,
-    render_slo_table,
-)
+from repro.obs.rollup import DEFAULT_WINDOW_MS, Rollup
+from repro.obs.slo import evaluate_slos, render_slo_table
 
 
 def load_records(directory):
@@ -57,12 +53,11 @@ def _window_lines(rollup, limit):
     return lines
 
 
-def render_dash(directory, window_ms=DEFAULT_WINDOW_MS,
-                objectives=DEFAULT_OBJECTIVES, limit=8):
+def render_dash(directory, window_ms=DEFAULT_WINDOW_MS, limit=8):
     """The full dashboard text for *directory*."""
     records = load_records(directory)
     rollup = Rollup(window_ms=window_ms).add_records(records)
-    statuses, alerts = evaluate_slos(rollup, objectives=objectives)
+    statuses, alerts = evaluate_slos(rollup)
     lines = [f"== ops dashboard: {directory} =="]
     lines.append("")
     lines.append("-- SLOs --")
@@ -87,12 +82,5 @@ def render_dash(directory, window_ms=DEFAULT_WINDOW_MS,
     lines.extend(_window_lines(rollup, limit))
     lines.append("")
     lines.append("-- top spans by self time --")
-    rows = self_time_rows(records, limit=limit)
-    if not rows:
-        lines.append("  (no spans recorded)")
-    for row in rows:
-        lines.append(
-            f"  {row['name']:<28} x{row['count']:<5} "
-            f"self={row['total_self']:.3f} mean={row['mean_self']:.3f}"
-        )
+    lines.append(render_self_time_rows(self_time_rows(records, limit=limit)))
     return "\n".join(lines)

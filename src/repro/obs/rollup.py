@@ -27,7 +27,7 @@ when the rank falls in the +inf bucket.
 
 import json
 
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, trace_order
 
 #: Default sim-clock window width (milliseconds).
 DEFAULT_WINDOW_MS = 1000.0
@@ -40,22 +40,6 @@ _ROUND_STATS = (
     "batches_ingested", "batches_dropped", "batches_duplicated",
     "batches_late", "duplicates_ignored",
 )
-
-
-def _norm(record):
-    """Normalize a record to ``(kind, name, start, end, attrs)``.
-
-    Accepts both live :class:`~repro.telemetry.SpanRecord` objects and
-    the dict form read back from ``trace.jsonl``, so rollups can be
-    built in-process or offline from an export directory.
-    """
-    if isinstance(record, dict):
-        return (
-            record.get("type"), record.get("name"),
-            record.get("start_ms", 0.0), record.get("end_ms", 0.0),
-            record.get("attrs") or {},
-        )
-    return record.kind, record.name, record.start, record.end, record.attrs
 
 
 def _index_key(index):
@@ -127,7 +111,8 @@ class Rollup:
     # ------------------------------------------------------------ inputs
 
     def add_records(self, records):
-        """Fold trace records (live or ``trace.jsonl`` dicts) in.
+        """Fold trace records (:class:`~repro.telemetry.SpanRecord`)
+        in, in the order given.
 
         Spans land in the ``sim`` domain window of their *start* time;
         ``stream.round.stats`` events land in the ``round`` domain.
@@ -135,13 +120,14 @@ class Rollup:
         validator.
         """
         for record in records:
-            kind, name, start, end, attrs = _norm(record)
+            kind, name, start = record.kind, record.name, record.start
+            attrs = record.attrs
             if name == "stream.round.stats":
                 self._add_round_stats(attrs)
                 continue
             window = None
             if kind == "span":
-                duration = max(float(end) - float(start), 0.0)
+                duration = max(record.end - start, 0.0)
                 if name == "core.action.process":
                     window = self._sim_window(start)
                     window.count("actions")
@@ -249,17 +235,7 @@ class Rollup:
         )
 
 
-def records_from_jsonl(path):
-    """Load ``trace.jsonl`` records (dicts) from *path*."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def rollup_from_session(session, window_ms=DEFAULT_WINDOW_MS):
-    """Build a rollup from a live telemetry session's records."""
-    return Rollup(window_ms=window_ms).add_records(session.records)
+def rollup_from_session(session):
+    """Build a rollup from a live telemetry session's records, folded
+    in trace order."""
+    return Rollup().add_records(trace_order(session.records))

@@ -25,12 +25,11 @@ from repro import _lazy_exports
 _EXPORTS = {
     ".api": ("NOOP", "SHARD_BASE_TRACK", "NoopTelemetry", "Session",
              "ShardTelemetry", "SpanRecord", "absorb_value", "activate",
-             "active", "collect_shard", "current", "deactivate", "session"),
+             "active", "collect_shard", "current", "deactivate", "session",
+             "trace_order"),
     ".exporters": ("EXPORT_FILENAMES", "export_advisory_jsonl",
                    "export_chrome_trace", "export_jsonl",
-                   "export_metrics_text", "render_trace_summary",
-                   "span_self_times", "top_spans_by_self_time",
-                   "write_exports"),
+                   "export_metrics_text", "write_exports"),
     ".metrics": ("DEFAULT_BUCKETS_MS", "MetricsRegistry", "labeled"),
 }
 

@@ -36,6 +36,7 @@ Design constraints (see ``docs/observability.md`` for the full story):
 """
 
 import contextlib
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -71,6 +72,16 @@ class SpanRecord:
     depth: int
     #: Deterministic key/value details (builtins only).
     attrs: dict = field(default_factory=dict)
+
+
+def trace_order(records):
+    """*records* sorted by ``(track, seq)``, the order of ``trace.jsonl``.
+
+    Each track's records keep their program order, and the result does
+    not depend on the order shards were absorbed in, so every view that
+    folds floats over it adds them in the same order.
+    """
+    return sorted(records, key=operator.attrgetter("track", "seq"))
 
 
 @dataclass

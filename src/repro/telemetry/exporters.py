@@ -20,6 +20,8 @@ repeat runs, and checkpoint resume — that property is what the
 import json
 import pathlib
 
+from repro.telemetry.api import trace_order
+
 #: Filenames written by :func:`write_exports`, deterministic channel
 #: first.  ``execution.json`` is added when an ExecutionReport is
 #: passed.
@@ -28,14 +30,10 @@ EXPORT_FILENAMES = (
 )
 
 
-def _sorted_records(session):
-    return sorted(session.records, key=lambda r: (r.track, r.seq))
-
-
 def export_jsonl(session):
     """The JSONL event log: one compact JSON object per record."""
     lines = []
-    for record in _sorted_records(session):
+    for record in trace_order(session.records):
         lines.append(json.dumps(
             {
                 "type": record.kind,
@@ -61,7 +59,7 @@ def export_chrome_trace(session):
     ticks, times 1000); instants become ``"i"`` events with
     thread scope.
     """
-    records = _sorted_records(session)
+    records = trace_order(session.records)
     tracks = sorted({record.track for record in records})
     tids = {track: position + 1 for position, track in enumerate(tracks)}
     events = [{
@@ -141,74 +139,3 @@ def write_exports(session, directory, report=None):
         path.write_text(text)
         paths.append(path)
     return paths
-
-
-def span_self_times(session):
-    """Per-span self time: duration minus direct children's durations.
-
-    A child is a span on the same track nested one level deeper and
-    contained within the parent's time range.  Quadratic per track —
-    meant for reports and examples, not hot paths.  Yields
-    ``(record, self_time)`` pairs; times mix sim milliseconds and
-    logical ticks depending on the span's clock domain.
-    """
-    by_track = {}
-    for record in _sorted_records(session):
-        if record.kind == "span":
-            by_track.setdefault(record.track, []).append(record)
-    for spans in by_track.values():
-        for parent in spans:
-            child_time = sum(
-                child.end - child.start
-                for child in spans
-                if child is not parent
-                and child.depth == parent.depth + 1
-                and child.start >= parent.start
-                and child.end <= parent.end
-            )
-            yield parent, (parent.end - parent.start) - child_time
-
-
-def top_spans_by_self_time(session, limit=10):
-    """Aggregate self time by span name; the *limit* heaviest first.
-
-    Returns dicts with ``name``, ``count``, ``total_self`` (summed
-    self time in the span's clock units) and ``mean_self``, sorted by
-    total self time descending (name ascending on ties, for
-    determinism).
-    """
-    totals = {}
-    for record, self_time in span_self_times(session):
-        entry = totals.setdefault(record.name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += self_time
-    rows = [
-        {
-            "name": name,
-            "count": count,
-            "total_self": total,
-            "mean_self": total / count if count else 0.0,
-        }
-        for name, (count, total) in totals.items()
-    ]
-    rows.sort(key=lambda row: (-row["total_self"], row["name"]))
-    return rows[:limit]
-
-
-def render_trace_summary(session, limit=10):
-    """Human-readable session summary: top spans plus the metrics."""
-    lines = [f"top {limit} spans by self-time:"]
-    rows = top_spans_by_self_time(session, limit=limit)
-    if not rows:
-        lines.append("  (no spans recorded)")
-    for row in rows:
-        lines.append(
-            f"  {row['name']:<28} x{row['count']:<5} "
-            f"self={row['total_self']:.3f} "
-            f"mean={row['mean_self']:.3f}"
-        )
-    metrics = export_metrics_text(session)
-    if metrics:
-        lines.append("")
-        lines.append(metrics.rstrip("\n"))
-    return "\n".join(lines)

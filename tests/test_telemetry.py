@@ -32,10 +32,7 @@ from repro.telemetry import (
     export_chrome_trace,
     export_jsonl,
     export_metrics_text,
-    render_trace_summary,
     session,
-    span_self_times,
-    top_spans_by_self_time,
     write_exports,
 )
 
@@ -434,73 +431,3 @@ def test_write_exports_creates_all_files(tmp_path):
     assert json.loads(
         (tmp_path / "out" / "execution.json").read_text()
     )["shards"] == 1
-
-
-def test_top_spans_by_self_time_subtracts_children():
-    with session() as tel:
-        tel.record_span("parent", 0.0, 10.0)
-        tel._depth = 1
-        tel.record_span("child", 2.0, 5.0)
-        tel._depth = 0
-    rows = top_spans_by_self_time(tel)
-    by_name = {row["name"]: row["total_self"] for row in rows}
-    assert by_name == {"parent": 7.0, "child": 3.0}
-    summary = render_trace_summary(tel)
-    assert "parent" in summary and "top 10 spans" in summary
-
-
-def test_render_trace_summary_handles_empty_session():
-    with session() as tel:
-        pass
-    assert "(no spans recorded)" in render_trace_summary(tel)
-
-
-def test_span_self_times_zero_duration_spans():
-    """Zero-duration spans attribute zero self time and subtract
-    nothing from their parents."""
-    with session() as tel:
-        tel.record_span("outer", 0.0, 10.0)
-        tel._depth = 1
-        tel.record_span("instant", 5.0, 5.0)
-        tel._depth = 0
-        tel.record_span("point", 3.0, 3.0)
-    self_times = {r.name: s for r, s in span_self_times(tel)}
-    assert self_times["instant"] == 0.0
-    assert self_times["point"] == 0.0
-    assert self_times["outer"] == 10.0
-    rows = top_spans_by_self_time(tel)
-    by_name = {row["name"]: row for row in rows}
-    assert by_name["instant"]["mean_self"] == 0.0
-    assert by_name["outer"]["total_self"] == 10.0
-
-
-def test_span_unclosed_at_collect_time_is_dropped():
-    """A span still open when the shard session is collected emits no
-    record — the carrier holds only completed spans, and the self-time
-    views stay consistent."""
-    def shard(x):
-        tel = current()
-        tel.span("left.open").__enter__()  # never exited
-        tel.record_span("closed", 0.0, 4.0)
-        return x
-
-    carrier = collect_shard(shard, 5)
-    assert carrier.value == 5
-    assert [r.name for r in carrier.records] == ["closed"]
-    with session() as tel:
-        tel.absorb(carrier, default_track="t")
-    rows = top_spans_by_self_time(tel)
-    assert [row["name"] for row in rows] == ["closed"]
-    assert rows[0]["total_self"] == 4.0
-
-
-def test_span_self_times_skips_event_only_tracks():
-    """Tracks holding only instant events yield no self-time rows but
-    render cleanly."""
-    with session() as tel:
-        with tel.track("events-only"):
-            tel.event("e.one", 1.0)
-            tel.event("e.two", 2.0)
-    assert list(span_self_times(tel)) == []
-    assert top_spans_by_self_time(tel) == []
-    assert "(no spans recorded)" in render_trace_summary(tel)
