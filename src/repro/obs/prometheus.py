@@ -108,8 +108,9 @@ def render_prometheus(registry):
     """
     state = registry if isinstance(registry, dict) else registry.state()
     lines = []
-    for prom_name in sorted(_families(state)):
-        kind, entries = _families(state)[prom_name]
+    families = _families(state)
+    for prom_name in sorted(families):
+        kind, entries = families[prom_name]
         lines.append(f"# TYPE {prom_name} {kind}")
         entries.sort(key=lambda entry: _label_block(entry[0]))
         for labels, payload in entries:

@@ -49,6 +49,8 @@ class ServiceState:
         self.replayed = 0
         #: True when recovery cut a torn record off the journal tail.
         self.torn_tail_cut = False
+        #: Failed publishes per batch count.
+        self._failed_publishes = {}
 
     # ----------------------------------------------------------- recovery
 
@@ -104,10 +106,24 @@ class ServiceState:
         propagates and the next publish retries with nothing lost.  A
         crash *between* the two steps replays snapshot-held batches
         from the journal on restart; dedup makes that free.
+
+        The ``torn_write_rate`` seam is keyed ``snapshot:<batch
+        count>`` on a first attempt and ``snapshot:<batch
+        count>:<attempt>`` after *attempt* - 1 failed publishes at that
+        count, so a retry draws a fresh verdict instead of tearing
+        again.
         """
-        save_aggregator(self.snapshot_path, self.aggregator,
-                        faults=self.faults,
-                        label=f"snapshot:{len(self.aggregator)}")
+        count = len(self.aggregator)
+        attempt = self._failed_publishes.get(count, 0) + 1
+        label = f"snapshot:{count}"
+        if attempt > 1:
+            label += f":{attempt}"
+        try:
+            save_aggregator(self.snapshot_path, self.aggregator,
+                            faults=self.faults, label=label)
+        except BaseException:
+            self._failed_publishes[count] = attempt
+            raise
         self.wal.reset()
 
     def snapshot_bytes(self):

@@ -280,6 +280,28 @@ def test_state_torn_snapshot_write_loses_nothing(tmp_path):
     recovered.close()
 
 
+def test_state_retried_publish_draws_a_fresh_torn_write_verdict(tmp_path):
+    """A publish retried at the same batch count is keyed on its
+    attempt, so it lands instead of tearing on every retry."""
+    batches = flat(fleet(7, 1))[:7]
+    state = ServiceState(tmp_path).recover()
+    state.log(batches)
+    for batch in batches:
+        state.ingest(batch)
+    state.faults = FaultInjector(FaultPlan(torn_write_rate=0.5), seed=93,
+                                 scope=("serve",))
+    torn = 0
+    while torn < 5:
+        try:
+            state.publish()
+            break
+        except TornWriteError:
+            torn += 1
+    assert 1 <= torn < 5  # this seed tears the first publish at 7 batches
+    assert state.snapshot_bytes() == serial_json(batches).encode("utf-8")
+    state.close()
+
+
 def test_state_torn_group_append_rolls_back_whole_group(tmp_path):
     """No batch of a torn group commit may be acknowledged."""
     batches = flat(fleet(4, 1))
